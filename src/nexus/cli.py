@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="full | sigma0 | component | neighborhood:<r> (default: full)",
         )
         p.add_argument("--budget", type=int, default=None, help="hom-search node cap")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", default=None, help="write output here instead of stdout")
 

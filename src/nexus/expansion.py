@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .characterize import _can_from_tuples, build_can
@@ -23,6 +22,7 @@ from .homs import (
     core_of_formula,
     equivalent,
     instances,
+    iter_instances,
     maps_to,
     tuple_membership,
 )
@@ -37,10 +37,8 @@ def is_definable(unit: Unit, kb: SelectiveKB, budget: int | None = None) -> bool
     """
     can = build_can(unit, kb)
     space = itertools.product(sorted(kb.dataset.domain), repeat=unit.arity)
-    return not any(
-        tau not in unit.tuples and tuple_membership(can, kb, tau, budget)
-        for tau in space
-    )
+    outside = (tau for tau in space if tau not in unit.tuples)
+    return next(iter_instances(can, kb, outside, budget), None) is None
 
 
 def ess_member(
@@ -55,7 +53,8 @@ def ess_set(
     unit: Unit, kb: SelectiveKB, budget: int | None = None, threads: int = 1
 ) -> set[ConstTuple]:
     """The smallest definable superset of the unit: the instance set of
-    its canonical characterization."""
+    its canonical characterization.  ``threads`` is accepted and ignored,
+    as in ``instances``."""
     return instances(build_can(unit, kb), kb, budget, threads)
 
 
@@ -218,7 +217,8 @@ def build_expansion_graph(
     characterization (equal classes always share it), each group is
     confirmed hom-equivalent to its representative, arcs are the cover
     relation of the hom-order on class cores, and direct instances follow
-    from subtracting each node's arc predecessors.
+    from subtracting each node's arc predecessors.  ``threads`` is accepted
+    and ignored, as in ``instances``.
     """
     n = unit.arity
     consts = sorted(kb.dataset.domain)
@@ -229,12 +229,7 @@ def build_expansion_graph(
         )
     space = [tuple(t) for t in itertools.product(consts, repeat=n)]
 
-    jobs = [(unit, kb, tau, budget) for tau in space]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_class_of_tuple, jobs, chunksize=4))
-    else:
-        results = [_class_of_tuple(j) for j in jobs]
+    results = [_class_of_tuple((unit, kb, tau, budget)) for tau in space]
 
     # group by instance fingerprint, then confirm by hom-equivalence
     groups: dict[frozenset, list[tuple[ConstTuple, Formula]]] = {}
@@ -283,7 +278,8 @@ def build_expansion_graph(
     source_candidates = [
         i for i in range(k) if FormulaClass(cores[i]) == source_class
     ]
-    assert len(source_candidates) == 1, "the unit's own class must appear once"
+    if len(source_candidates) != 1:
+        raise AssertionError("the unit's own class must appear once")
     source = source_candidates[0]
 
     graph = ExpansionGraph(
@@ -306,35 +302,39 @@ def _check_invariants(
     succ = {i: [] for i in range(k)}
     for i, j in graph.arcs:
         succ[i].append(j)
-    state = [0] * k
-
-    def visit(i):
-        state[i] = 1
-        for j in succ[i]:
-            if state[j] == 1:
+    state = [0] * k  # 0 unseen, 1 on the current path, 2 done
+    for root in range(k):
+        if state[root]:
+            continue
+        state[root] = 1
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            i, pending = stack[-1]
+            j = next(pending, None)
+            if j is None:
+                state[i] = 2
+                stack.pop()
+            elif state[j] == 1:
                 raise AssertionError("expansion graph has a cycle")
-            if state[j] == 0:
-                visit(j)
-        state[i] = 2
-
-    for i in range(k):
-        if state[i] == 0:
-            visit(i)
+            elif state[j] == 0:
+                state[j] = 1
+                stack.append((j, iter(succ[j])))
 
     seen: set[ConstTuple] = set()
     total = 0
     for node in graph.nodes:
         total += len(node.direct)
         seen |= node.direct
-    assert total == len(space) and seen == set(space), (
-        "direct instances must partition the tuple space"
-    )
+    if total != len(space) or seen != set(space):
+        raise AssertionError("direct instances must partition the tuple space")
 
     incoming = {j for (_i, j) in graph.arcs}
     sources = [i for i in range(k) if i not in incoming]
-    assert sources == [graph.source], "exactly one source node expected"
+    if sources != [graph.source]:
+        raise AssertionError("exactly one source node expected")
 
     ess = frozenset(ess_set(unit, kb, budget))
-    assert graph.nodes[graph.source].direct == ess, (
-        "the source's direct instances must equal the essential expansion"
-    )
+    if graph.nodes[graph.source].direct != ess:
+        raise AssertionError(
+            "the source's direct instances must equal the essential expansion"
+        )

@@ -2,18 +2,38 @@
 formula evaluation over datasets, instance sets over selective KBs, the
 hom-order between formulas, equivalence, isomorphism, and formula cores.
 
-The kernel is a backtracking search over the source variables in
-most-constrained-first order with forward checking against per-predicate
-atom indexes.  All orderings are fixed (lexicographic tie-breaks, sorted
-candidate values) so results are reproducible.
+The kernel is a backtracking search over the source variables with
+forward checking.  It assigns next the unassigned variable with the
+fewest candidate values (ties broken by name), tries those values in term
+order, and after each choice narrows the candidates of the neighbouring
+variables to what the target still supports.  All orderings are fixed,
+so results are reproducible.
+
+Each node is cheap:
+
+* The target is indexed per search: its argument tuples by predicate and
+  arity, and, built on first use, the tuples holding a given value at a
+  given position and the set of values of each column.  An atom's
+  supports come from the shortest tuple list of its fixed positions; a
+  fully fixed atom is one set lookup.
+* The search is a loop over an explicit stack.  Narrowed candidate sets
+  are recorded on a trail and restored on backtracking, and the open
+  variables wait in buckets by candidate count, sorted by name, so
+  choosing the next variable does not scan them all.  Depth is bounded by
+  memory, not by the interpreter's recursion limit.
+* The source side is compiled once per formula: its terms numbered, so a
+  search keeps its assignment in a list, its atoms sorted, and the
+  variables' order and atoms fixed.  Sweeps over many tuples
+  (``instances``, ``iter_instances``, ``evaluate``) and the atom-by-atom
+  core pay for it once.
 """
 
 from __future__ import annotations
 
 import itertools
-import sys
-from collections.abc import Iterable, Mapping
-from concurrent.futures import ThreadPoolExecutor
+from bisect import bisect_left, insort
+from collections import Counter
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 
 from .errors import ArityMismatch, BudgetExceeded
@@ -21,10 +41,6 @@ from .formulas import Formula, canonical_rename
 from .kb import Atom, ConstTuple, Dataset, SelectiveKB, Var, is_var, term_key
 
 DEFAULT_BUDGET = 10_000_000
-
-# search depth equals the number of source variables, which can reach the
-# thousands for product formulas
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
 
 
 class _Budget:
@@ -66,56 +82,176 @@ def find_hom(problem: HomProblem, budget: int | None = None):
     return _search(problem.source, problem.target, dict(problem.pinned), budget)
 
 
-def _target_index(target_atoms: Iterable[Atom]):
-    index: dict[str, list[tuple]] = {}
-    domain = set()
-    for a in target_atoms:
-        index.setdefault(a.pred, []).append(a.args)
-        domain.update(a.args)
-    for p in index:
-        index[p].sort(key=lambda t: tuple(term_key(x) for x in t))
-    return index, domain
+class _Source:
+    """The source side of a search, compiled for a fixed set of pinned keys.
 
+    Every distinct term gets a slot, and a search keeps the image of slot
+    ``s`` in ``image[s]`` (None while open), starting from ``template``,
+    which holds the constants.  ``atoms`` are ``((pred, arity), slots,
+    repeats)`` in ``Atom.key`` order, ``repeats`` flagging a repeated term.
+    ``variables`` are the slots of the unpinned variables in order of first
+    occurrence, ``by_var`` their atoms, and ``by_rank`` the same slots in
+    name order, ``rank`` its inverse.
 
-def _atom_supports(atom: Atom, assignment: dict, index: dict):
-    """Target tuples compatible with the currently fixed arguments.
-
-    Returns None when the atom cannot be satisfied, otherwise a dict
-    mapping each still-unassigned variable of the atom to its supported
-    values (empty dict when the atom is fully checked).
+    Before the search, an atom whose arguments are distinct unpinned
+    variables only restricts each of them to a column of the target, so
+    the root pass intersects columns once per distinct set of them
+    (``by_columns``) and asks the index only for the other atoms
+    (``fixed_atoms``).
     """
-    tuples = index.get(atom.pred)
-    if not tuples:
-        return None
-    fixed = []
-    open_positions: dict[Var, list[int]] = {}
-    for pos, t in enumerate(atom.args):
-        if is_var(t) and t not in assignment:
-            open_positions.setdefault(t, []).append(pos)
-        else:
-            fixed.append((pos, assignment.get(t, t) if is_var(t) else t))
-    arity = len(atom.args)
-    supports = {v: set() for v in open_positions}
-    found = False
-    for tt in tuples:
-        if len(tt) != arity:
-            continue
-        if any(tt[p] != val for p, val in fixed):
-            continue
-        ok = True
-        for v, positions in open_positions.items():
-            first = tt[positions[0]]
-            if any(tt[p] != first for p in positions[1:]):
-                ok = False
-                break
-        if not ok:
-            continue
-        found = True
-        for v, positions in open_positions.items():
-            supports[v].add(tt[positions[0]])
-    if not found:
-        return None
-    return supports
+
+    __slots__ = ("terms", "slot", "consts", "template", "atoms", "variables",
+                 "by_var", "by_rank", "rank", "fixed_atoms", "by_columns")
+
+    def __init__(self, atoms: Iterable[Atom], pinned: Iterable = ()):
+        pinned = set(pinned)
+        slot: dict = {}
+        self.consts: dict = {}
+        self.atoms = []
+        by_var: dict[int, list] = {}
+        self.fixed_atoms = []
+        columns: dict[int, set] = {}
+        for a in sorted(set(atoms), key=Atom.key):
+            slots = tuple(slot.setdefault(t, len(slot)) for t in a.args)
+            compiled = ((a.pred, len(slots)), slots, len(set(slots)) < len(slots))
+            self.atoms.append(compiled)
+            if compiled[2] or any(not is_var(t) or t in pinned for t in a.args):
+                self.fixed_atoms.append(compiled)
+            else:
+                for pos, s in enumerate(slots):
+                    columns.setdefault(s, set()).add((compiled[0], pos))
+            for t, s in zip(a.args, slots):
+                if not is_var(t):
+                    self.consts[t] = t
+                elif t not in pinned:
+                    seen = by_var.setdefault(s, [])
+                    if not seen or seen[-1] is not compiled:
+                        seen.append(compiled)
+        self.slot = slot
+        self.terms = list(slot)
+        self.template = [None if is_var(t) else t for t in self.terms]
+        self.variables = list(by_var)
+        self.by_var = [by_var.get(s) for s in range(len(slot))]
+        self.by_rank = sorted(self.variables, key=lambda s: self.terms[s].name)
+        self.rank = [0] * len(slot)
+        for i, s in enumerate(self.by_rank):
+            self.rank[s] = i
+        self.by_columns: dict[tuple, list[int]] = {}
+        for s, cols in columns.items():
+            self.by_columns.setdefault(tuple(sorted(cols)), []).append(s)
+
+    def image_of(self, pins: dict) -> list:
+        image = self.template.copy()
+        for k, v in pins.items():
+            s = self.slot.get(k)
+            if s is not None:
+                image[s] = v
+        return image
+
+
+class _Target:
+    """Index of a target atom set for the supports of source atoms."""
+
+    __slots__ = ("rows", "domain", "_by_value", "_columns")
+
+    def __init__(self, atoms: Iterable[Atom], domain=None):
+        rows: dict[tuple, set] = {}
+        terms = set() if domain is None else None
+        for a in atoms:
+            key = (a.pred, len(a.args))
+            found = rows.get(key)
+            if found is None:
+                rows[key] = {a.args}
+            else:
+                found.add(a.args)
+            if terms is not None:
+                terms.update(a.args)
+        self.rows = rows
+        self.domain = domain if domain is not None else terms
+        self._by_value: dict[tuple, dict] = {}  # (key, pos) -> value -> tuples
+        self._columns: dict[tuple, set] = {}  # (key, pos) -> values
+
+    def _holding(self, key, pos, value):
+        by_value = self._by_value.get((key, pos))
+        if by_value is None:
+            by_value = {}
+            for tt in self.rows[key]:
+                found = by_value.get(tt[pos])
+                if found is None:
+                    by_value[tt[pos]] = [tt]
+                else:
+                    found.append(tt)
+            self._by_value[(key, pos)] = by_value
+        return by_value.get(value)
+
+    def column(self, key, pos):
+        values = self._columns.get((key, pos))
+        if values is None:
+            values = self._columns[(key, pos)] = {tt[pos] for tt in self.rows[key]}
+        return values
+
+    def supports(self, key, slots, repeats: bool, image: list):
+        """The target tuples compatible with the fixed arguments of a
+        compiled atom: None when there is none, otherwise ``(slot, values)``
+        for each open slot, the values the tuples offer it (an empty list
+        when every argument is fixed).  The value sets must not be mutated.
+        """
+        rows = self.rows.get(key)
+        if not rows:
+            return None
+        fixed = []
+        open_slots = []
+        open_pos = []
+        for pos, s in enumerate(slots):
+            val = image[s]
+            if val is None:
+                open_slots.append(s)
+                open_pos.append(pos)
+            else:
+                fixed.append((pos, val))
+        if not open_slots:
+            return [] if tuple(val for _pos, val in fixed) in rows else None
+        if repeats and len(set(open_slots)) < len(open_slots):
+            return self._scan(rows, key, fixed, open_slots, open_pos)
+        if not fixed:
+            return [(s, self.column(key, p)) for s, p in zip(open_slots, open_pos)]
+        best = None
+        for pos, val in fixed:
+            holding = self._holding(key, pos, val)
+            if holding is None:
+                return None
+            if best is None or len(holding) < len(best):
+                best = holding
+        if len(fixed) > 1:
+            best = [tt for tt in best if all(tt[p] == val for p, val in fixed)]
+            if not best:
+                return None
+        return [(s, {tt[p] for tt in best}) for s, p in zip(open_slots, open_pos)]
+
+    def _scan(self, rows, key, fixed, open_slots, open_pos):
+        """Supports of an atom that repeats an open slot: the tuples must
+        agree on every position of that slot."""
+        candidates = rows
+        for pos, val in fixed:
+            holding = self._holding(key, pos, val)
+            if holding is None:
+                return None
+            if len(holding) < len(candidates):
+                candidates = holding
+        first: dict = {}
+        for s, p in zip(open_slots, open_pos):
+            first.setdefault(s, p)
+        supports: dict = {s: set() for s in first}
+        found = False
+        for tt in candidates:
+            if any(tt[p] != val for p, val in fixed):
+                continue
+            if any(tt[p] != tt[first[s]] for s, p in zip(open_slots, open_pos)):
+                continue
+            found = True
+            for s, p in first.items():
+                supports[s].add(tt[p])
+        return list(supports.items()) if found else None
 
 
 def _search(
@@ -125,100 +261,168 @@ def _search(
     budget: int | None = None,
     injective: bool = False,
 ):
-    source = sorted(set(source_atoms), key=Atom.key)
-    index, target_domain = _target_index(target_atoms)
-    meter = _Budget(DEFAULT_BUDGET if budget is None else budget)
+    return _run(_Source(source_atoms, pins), _Target(target_atoms), pins, budget, injective)
 
-    assignment: dict = {}
-    for a in source:
-        for t in a.args:
-            if not is_var(t):
-                assignment[t] = t
+
+def _run(
+    source: _Source,
+    target: _Target,
+    pins: dict,
+    budget: int | None = None,
+    injective: bool = False,
+):
+    """The first homomorphism extending ``pins``, or None.
+
+    ``source`` must have been compiled with exactly the keys of ``pins``.
+    One budget unit is spent per value tried.
+    """
+    assignment = dict(source.consts)
     for k, v in pins.items():
         if assignment.get(k, v) != v:
             return None
         assignment[k] = v
-    if any(v not in target_domain for v in assignment.values()):
+    if any(v not in target.domain for v in assignment.values()):
         return None
-    if injective:
-        used = set(assignment.values())
-        if len(used) != len(assignment):
-            return None
-
-    by_var: dict[Var, list[Atom]] = {}
-    variables = []
-    for a in source:
-        for t in a.args:
-            if is_var(t) and t not in assignment:
-                if t not in by_var:
-                    by_var[t] = []
-                    variables.append(t)
-                if a not in by_var[t]:
-                    by_var[t].append(a)
+    used = set(assignment.values())
+    if injective and len(used) != len(assignment):
+        return None
+    image = source.image_of(pins)
 
     # root pass: every atom must have support, var domains start narrowed
-    domains: dict[Var, set] = {v: None for v in variables}
-    for a in source:
-        supports = _atom_supports(a, assignment, index)
-        if supports is None:
-            return None
-        for v, values in supports.items():
-            domains[v] = set(values) if domains[v] is None else domains[v] & values
-    for v in variables:
-        if domains[v] is None:
-            domains[v] = set(target_domain)
-        if injective:
-            domains[v] = domains[v] - set(assignment.values())
-        if not domains[v]:
-            return None
-
-    def propagate(var: Var, domains_now: dict):
-        """Forward check the atoms of `var`; returns updated domains or None."""
-        new_domains = domains_now
-        for a in by_var[var]:
-            supports = _atom_supports(a, assignment, index)
-            if supports is None:
+    supports = target.supports
+    domains: list = [None] * len(image)
+    for columns, slots in source.by_columns.items():
+        common = None
+        for key, pos in columns:
+            if key not in target.rows:
                 return None
-            for u, values in supports.items():
-                narrowed = new_domains[u] & values
+            values = target.column(key, pos)
+            common = values if common is None else common & values
+        for s in slots:
+            domains[s] = common
+    for key, slots, repeats in source.fixed_atoms:
+        found = supports(key, slots, repeats, image)
+        if found is None:
+            return None
+        for s, values in found:
+            current = domains[s]
+            domains[s] = values if current is None else current & values
+    variables = source.variables
+    for s in variables:
+        if injective:
+            domains[s] = domains[s] - used
+        if not domains[s]:
+            return None
+
+    # open slots by candidate count, each bucket a sorted list of name ranks
+    rank, by_rank, by_var = source.rank, source.by_rank, source.by_var
+    buckets: dict[int, list[int]] = {}
+    for s in variables:
+        buckets.setdefault(len(domains[s]), []).append(rank[s])
+    for ranks in buckets.values():
+        ranks.sort()
+
+    def move(s, old: int, new: int):
+        r = rank[s]
+        ranks = buckets[old]
+        del ranks[bisect_left(ranks, r)]
+        if not ranks:
+            del buckets[old]
+        ranks = buckets.get(new)
+        if ranks is None:
+            buckets[new] = [r]
+        else:
+            insort(ranks, r)
+
+    def pick():
+        size = min(buckets)
+        ranks = buckets[size]
+        s = by_rank[ranks.pop(0)]
+        if not ranks:
+            del buckets[size]
+        return s
+
+    def put_back(s):
+        ranks = buckets.get(len(domains[s]))
+        if ranks is None:
+            buckets[len(domains[s])] = [rank[s]]
+        else:
+            insort(ranks, rank[s])
+
+    trail: list[tuple] = []  # (slot, its candidate set before narrowing)
+
+    def narrow(u, current, narrowed):
+        trail.append((u, current))
+        domains[u] = narrowed
+        move(u, len(current), len(narrowed))
+
+    def undo(mark: int):
+        while len(trail) > mark:
+            u, previous = trail.pop()
+            move(u, len(domains[u]), len(previous))
+            domains[u] = previous
+
+    def propagate(var, val) -> bool:
+        """Forward check the atoms of ``var``, narrowing on the trail."""
+        for key, slots, repeats in by_var[var]:
+            found = supports(key, slots, repeats, image)
+            if found is None:
+                return False
+            for u, values in found:
+                current = domains[u]
+                narrowed = current & values
                 if not narrowed:
-                    return None
-                if len(narrowed) != len(new_domains[u]):
-                    if new_domains is domains_now:
-                        new_domains = dict(domains_now)
-                    new_domains[u] = narrowed
-        return new_domains
+                    return False
+                if len(narrowed) != len(current):
+                    narrow(u, current, narrowed)
+        if injective:
+            for u in variables:
+                if image[u] is None and val in domains[u]:
+                    current = domains[u]
+                    if len(current) == 1:
+                        return False
+                    narrow(u, current, current - {val})
+        return True
 
-    unassigned = set(variables)
-
-    def backtrack(domains_now: dict):
-        if not unassigned:
-            return True
-        var = min(unassigned, key=lambda u: (len(domains_now[u]), u.name))
-        unassigned.discard(var)
-        values = sorted(domains_now[var], key=term_key)
-        for val in values:
+    if not buckets:
+        return assignment
+    meter = _Budget(DEFAULT_BUDGET if budget is None else budget)
+    var = pick()
+    # frame: [slot, its values in order, next value index, trail mark]
+    frames = [[var, sorted(domains[var], key=term_key), 0, 0]]
+    while frames:
+        frame = frames[-1]
+        var, values, mark = frame[0], frame[1], frame[3]
+        if image[var] is not None:  # back from a failed subtree: retract the value
+            if injective:
+                used.discard(image[var])
+            image[var] = None
+            undo(mark)
+        i = frame[2]
+        while i < len(values):
+            val = values[i]
+            i += 1
             meter.spend()
-            if injective and val in assignment.values():
+            if injective and val in used:
                 continue
-            assignment[var] = val
-            narrowed = propagate(var, domains_now)
-            if narrowed is not None:
-                if injective:
-                    narrowed = dict(narrowed)
-                    for u in unassigned:
-                        narrowed[u] = narrowed[u] - {val}
-                    if any(not narrowed[u] for u in unassigned):
-                        del assignment[var]
-                        continue
-                if backtrack(narrowed):
-                    return True
-            del assignment[var]
-        unassigned.add(var)
-        return False
-
-    if backtrack(domains):
-        return dict(assignment)
+            image[var] = val
+            if propagate(var, val):
+                break
+            undo(mark)
+            image[var] = None
+        frame[2] = i
+        if image[var] is None:
+            frames.pop()
+            put_back(var)
+            continue
+        if injective:
+            used.add(val)
+        if not buckets:
+            for s, *_rest in frames:
+                assignment[source.terms[s]] = image[s]
+            return assignment
+        var = pick()
+        frames.append([var, sorted(domains[var], key=term_key), 0, len(trail)])
     return None
 
 
@@ -282,35 +486,36 @@ def evaluate(phi: Formula, dataset: Dataset, budget: int | None = None):
     if phi.arity == 0:
         return _search(phi.atoms, dataset.atoms, {}, budget) is not None
     distinct = phi.distinct_free_vars()
-    index, _ = _target_index(dataset.atoms)
+    target = _Target(dataset.atoms, dataset.domain)
+    source = _Source(phi.atoms, distinct)
     candidates: list[list[str]] = []
     for v in distinct:
+        slot = source.slot[v]
         dom = None
-        for a in phi.atoms:
-            if v not in a.args:
+        for key, slots, repeats in source.atoms:
+            if slot not in slots:
                 continue
-            supports = _atom_supports(a, {}, index)
+            supports = target.supports(key, slots, repeats, source.template)
             if supports is None:
                 return set()
-            if v in supports:
-                dom = supports[v] if dom is None else dom & supports[v]
+            for s, values in supports:
+                if s == slot:
+                    dom = values if dom is None else dom & values
         dom = sorted(dom if dom is not None else dataset.domain)
         if not dom:
             return set()
         candidates.append(dom)
     out = set()
     for combo in itertools.product(*candidates):
-        pins = dict(zip(distinct, combo))
-        if _search(phi.atoms, dataset.atoms, pins, budget) is not None:
-            by_var = dict(zip(distinct, combo))
+        by_var = dict(zip(distinct, combo))
+        if _run(source, target, by_var, budget) is not None:
             out.add(tuple(by_var[v] for v in phi.free_vars))
     return out
 
 
-def tuple_membership(
-    phi: Formula, kb: SelectiveKB, tau: ConstTuple, budget: int | None = None
+def _is_instance(
+    source: _Source, phi: Formula, kb: SelectiveKB, tau: ConstTuple, budget: int | None
 ) -> bool:
-    """Is tau an instance of phi: one pinned hom search into its summary."""
     if len(tau) != phi.arity:
         raise ArityMismatch(f"tuple arity {len(tau)} != formula arity {phi.arity}")
     pins: dict = {}
@@ -319,7 +524,28 @@ def tuple_membership(
             return False
         pins[v] = c
     summary = kb.summary(tau)
-    return _search(phi.atoms, summary.atoms, pins, budget) is not None
+    return _run(source, _Target(summary.atoms, summary.domain), pins, budget) is not None
+
+
+def tuple_membership(
+    phi: Formula, kb: SelectiveKB, tau: ConstTuple, budget: int | None = None
+) -> bool:
+    """Is tau an instance of phi: one pinned hom search into its summary."""
+    return _is_instance(_Source(phi.atoms, phi.free_vars), phi, kb, tau, budget)
+
+
+def iter_instances(
+    phi: Formula,
+    kb: SelectiveKB,
+    candidates: Iterable[ConstTuple],
+    budget: int | None = None,
+) -> Iterator[ConstTuple]:
+    """The candidates that are instances of phi, lazily and in the given
+    order; each is decided as ``tuple_membership`` decides it."""
+    source = _Source(phi.atoms, phi.free_vars)
+    for tau in candidates:
+        if _is_instance(source, phi, kb, tau, budget):
+            yield tau
 
 
 def instances(
@@ -329,17 +555,15 @@ def instances(
     threads: int = 1,
 ) -> set[ConstTuple]:
     """All tuples over the dataset domain that the formula matches within
-    their own summaries.  Always a subset of evaluate(phi, kb.dataset)."""
+    their own summaries.  Always a subset of evaluate(phi, kb.dataset).
+
+    ``threads`` is accepted and ignored: the searches are pure Python, and
+    running them in threads was measured slower under the interpreter lock.
+    """
     if phi.arity < 1:
         raise ArityMismatch("instance sets need an open formula")
-    space = list(itertools.product(sorted(kb.dataset.domain), repeat=phi.arity))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            hits = pool.map(
-                lambda t: tuple_membership(phi, kb, t, budget), space, chunksize=16
-            )
-            return {t for t, hit in zip(space, hits) if hit}
-    return {t for t in space if tuple_membership(phi, kb, t, budget)}
+    space = itertools.product(sorted(kb.dataset.domain), repeat=phi.arity)
+    return set(iter_instances(phi, kb, space, budget))
 
 
 # ---------------------------------------------------------------------------
@@ -363,15 +587,19 @@ def core_of_formula(
     atoms = set(phi.atoms)
     free = set(phi.free_vars)
     pins = {v: v for v in free}
+    source = _Source(atoms, pins)
+    # atoms holding each free variable; the last one of a variable stays
+    holding = Counter(t for a in atoms for t in set(a.args) if t in free)
     for alpha in sorted(phi.atoms, key=Atom.key):
         if len(atoms) == 1:
             break
-        candidate = atoms - {alpha}
-        remaining_vars = {t for a in candidate for t in a.args if is_var(t)}
-        if not free <= remaining_vars:
+        if any(holding[t] == 1 for t in set(alpha.args) if t in free):
             continue
-        if _search(atoms, candidate, dict(pins), budget) is not None:
+        candidate = atoms - {alpha}
+        if _run(source, _Target(candidate), pins, budget) is not None:
             atoms = candidate
+            source = _Source(atoms, pins)
+            holding.subtract(t for t in set(alpha.args) if t in free)
     out = Formula(phi.free_vars, atoms)
     return canonical_rename(out) if rename else out
 

@@ -16,7 +16,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .characterize import build_can
-from .errors import ParseError, ReservedSymbolCollision, TooLarge
+from .errors import NexusError, ParseError, ReservedSymbolCollision, TooLarge
 from .formulas import Formula, in_nxl, nearly_connected_part
 from .kb import (
     TOP,
@@ -125,7 +125,7 @@ def brute_definable_units(
         for combo in itertools.combinations(space, size):
             try:
                 unit = validate_unit(combo, kb.dataset)
-            except Exception:
+            except NexusError:
                 continue  # improper candidate: not a unit at all
             can = build_can(unit, kb)
             if brute_instances(can, kb, guard) == unit.tuples:
@@ -193,7 +193,7 @@ def random_unit(
         }
         try:
             return validate_unit(tuples, kb.dataset)
-        except Exception:
+        except NexusError:
             continue
     return validate_unit({(consts[0],)}, kb.dataset)
 

@@ -1,5 +1,10 @@
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -216,3 +221,39 @@ def test_sandwiched_units_share_class(parks_kb, parks_dataset):
         extra = rng.sample(middles, rng.randint(1, len(middles)))
         between = validate_unit(u.tuples | set(extra), parks_dataset)
         assert canonical_class(build_can(between, parks_kb)) == base
+
+
+def test_invariant_checks_survive_optimized_mode():
+    """Under ``python -O`` a corrupted graph must still be refused: one
+    whose direct instances miss a tuple, and one with an arc reversed."""
+    code = textwrap.dedent("""
+        import dataclasses
+        from nexus.expansion import _check_invariants, build_expansion_graph
+        from nexus.kb import SelectiveKB, SelectorSpec, atom, close_under_top, validate_unit
+
+        kb = SelectiveKB(
+            close_under_top([atom("r", "a", "b"), atom("r", "b", "a"), atom("s", "a", "a")]),
+            SelectorSpec.full(),
+        )
+        unit = validate_unit([("a",)], kb.dataset)
+        graph = build_expansion_graph(unit, kb)
+        nodes = list(graph.nodes)
+        nodes[graph.source] = dataclasses.replace(nodes[graph.source], direct=frozenset())
+        cyclic = graph.arcs | {(j, i) for i, j in graph.arcs}
+        space = [(c,) for c in sorted(kb.dataset.domain)]
+        for broken in (dataclasses.replace(graph, nodes=tuple(nodes)),
+                       dataclasses.replace(graph, arcs=cyclic)):
+            try:
+                _check_invariants(broken, unit, kb, space, None)
+            except AssertionError as exc:
+                print("refused:", exc)
+    """)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.splitlines() == [
+        "refused: direct instances must partition the tuple space",
+        "refused: expansion graph has a cycle",
+    ]

@@ -1,5 +1,9 @@
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -17,7 +21,7 @@ from nexus.homs import (
     maps_to,
     tuple_membership,
 )
-from nexus.kb import Var, atom, close_under_top
+from nexus.kb import Atom, Var, atom, close_under_top
 from nexus.oracles import (
     RandomSkbConfig,
     brute_evaluate,
@@ -72,6 +76,34 @@ def test_budget_exceeded():
     tgt = close_under_top([atom("p", a, b) for a in "abcdef" for b in "abcdef"])
     with pytest.raises(BudgetExceeded):
         find_hom(HomProblem(src.atoms, tgt.atoms, {}), budget=3)
+
+
+def test_import_leaves_recursion_limit_alone():
+    code = (
+        "import sys; before = sys.getrecursionlimit(); "
+        "import nexus, nexus.cli, nexus.oracles; "
+        "print(sys.getrecursionlimit() == before)"
+    )
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "True"
+
+
+def test_long_chain_needs_no_deep_stack():
+    chain = [Var(f"v{i}") for i in range(5000)]
+    source = [Atom("p", (u, v)) for u, v in zip(chain, chain[1:])]
+    target = close_under_top([atom("p", "a", "b"), atom("p", "b", "a")]).atoms
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        hom = find_hom(HomProblem(frozenset(source), target))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert hom is not None
+    assert all(Atom("p", (hom[u], hom[v])) in target for u, v in zip(chain, chain[1:]))
 
 
 # ---------------------------------------------------------------------------
