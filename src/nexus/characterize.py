@@ -7,16 +7,18 @@ columns become the free variables, remaining product constants become
 either bound variables or (when all their parts coincide) the underlying
 base constant, atoms over all-parts-equal free positions are additionally
 cloned onto the base constant, and finally everything that does not
-connect to the free variables is discarded.
+connect to the free variables is discarded.  The pipeline generates only
+the product atoms connected to the free product constants, by a search
+from those constants over per-operand indexes.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-from .errors import ArityConflict, MixedArity
+from .errors import ArityConflict, MixedArity, ParseError
 from .formulas import Formula, canonical_rename, nearly_connected_part
 from .homs import core_of_formula
 from .kb import Atom, ConstTuple, Dataset, SelectiveKB, Unit, Var
@@ -41,7 +43,8 @@ class ProductConstant:
 
     @classmethod
     def from_name(cls, name: str) -> "ProductConstant":
-        assert name.startswith(PRODUCT_PREFIX)
+        if not name.startswith(PRODUCT_PREFIX):
+            raise ParseError(f"not a product constant name: {name!r}", name=name)
         return cls(tuple(name[len(PRODUCT_PREFIX):].split("|")))
 
     def __repr__(self) -> str:
@@ -99,64 +102,107 @@ def product_datasets(datasets: Sequence[Dataset]) -> Dataset:
 # Canonical characterization
 
 
+def _operand_index(summary: Dataset) -> dict[str, dict[tuple[str, int], list[tuple]]]:
+    """value -> (pred, position) -> argument tuples of the summary's atoms
+    that hold the value at the position."""
+    index: dict[str, dict[tuple[str, int], list[tuple]]] = {}
+    for a in summary.atoms:
+        for pos, value in enumerate(a.args):
+            index.setdefault(value, {}).setdefault((a.pred, pos), []).append(a.args)
+    return index
+
+
+def _reachable_product(
+    summaries: Sequence[Dataset], frees: Sequence[tuple[str, ...]]
+) -> set[tuple[str, tuple]]:
+    """The atoms of the direct product that are connected to the free
+    product constants, as ``(pred, args)`` with each argument a tuple of
+    parts, one per operand.
+
+    Breadth-first over product constants: the product atoms holding a
+    constant c at position p are the same-predicate combinations of the
+    operands' atoms holding c's j-th part at p, so joining one index list
+    per operand yields exactly them, and the rest of the product is never
+    built.
+    """
+    first, *rest = [_operand_index(s) for s in summaries]
+    seen = set(frees)
+    queue = list(frees)
+    atoms: set[tuple[str, tuple]] = set()
+    for c in queue:  # grows while it is walked
+        others = [idx.get(part) for idx, part in zip(rest, c[1:])]
+        if None in others:
+            continue
+        for slot, pool in first.get(c[0], {}).items():
+            pools = [pool]
+            for other in others:
+                match = other.get(slot)
+                if match is None:
+                    break
+                pools.append(match)
+            else:
+                for combo in itertools.product(*pools):
+                    args = tuple(zip(*combo))
+                    atoms.add((slot[0], args))
+                    for t in args:
+                        if t not in seen:
+                            seen.add(t)
+                            queue.append(t)
+    return atoms
+
+
 def _can_from_tuples(
     tuples: Sequence[ConstTuple], kb: SelectiveKB, stream: bool = False
 ) -> Formula:
-    """The product construction for an explicitly ordered tuple sequence."""
+    """The product construction for an explicitly ordered tuple sequence.
+
+    Only the part of the product connected to the free product constants
+    is built.  That is exact: every assembled term comes from one product
+    constant (``x|…`` from a free one, ``y|…`` from any other non-gene, a
+    base constant b from the gene (b,…,b)), so assembled atoms sharing a
+    term come from product atoms sharing a product constant.  The
+    nearly-connected part is still taken, because base clones of a free
+    gene, such as ``top(b)`` from ``top(x|b|b)``, can fall outside the free
+    variables' component.  ``stream`` is accepted and ignored.
+    """
     summaries = [kb.summary(t) for t in tuples]
-    frees = product_tuples(tuples)
-    free_names = {pc.name for pc in frees}
+    frees = [pc.parts for pc in product_tuples(tuples)]
+    free_set = set(frees)
 
-    if stream:
-        product_atoms: Iterable[Atom] = iter_product_atoms(summaries)
-    else:
-        product_atoms = product_datasets(summaries).sorted_atoms()
+    # the assembled terms of each product constant: its variable or base
+    # constant, plus the base constant for a free gene
+    terms: dict[tuple[str, ...], tuple] = {}
 
-    var_of: dict[str, Var] = {}
+    def choices(pc: tuple[str, ...]) -> tuple:
+        hit = terms.get(pc)
+        if hit is None:
+            gene = len(set(pc)) == 1
+            if pc in free_set:
+                x = Var("x|" + "|".join(pc))
+                hit = (x, pc[0]) if gene else (x,)
+            elif gene:
+                hit = (pc[0],)
+            else:
+                hit = (Var("y|" + "|".join(pc)),)
+            terms[pc] = hit
+        return hit
 
-    def mapped(term: str):
-        """The assembled formula's term for a product or base constant."""
-        if not term.startswith(PRODUCT_PREFIX):
-            return term
-        hit = var_of.get(term)
-        if hit is not None:
-            return hit
-        pc = ProductConstant.from_name(term)
-        if term in free_names:
-            out = Var("x" + term[1:])
-        elif pc.is_gene:
-            return pc.parts[0]
-        else:
-            out = Var("y" + term[1:])
-        var_of[term] = out
-        return out
-
-    def expansions(term: str):
-        """The clone set of an argument: a free all-parts-equal constant
-        additionally spawns its base constant."""
-        if term.startswith(PRODUCT_PREFIX) and term in free_names:
-            pc = ProductConstant.from_name(term)
-            if pc.is_gene:
-                return (term, pc.parts[0])
-        return (term,)
-
-    atoms: set[Atom] = set()
-    for raw in product_atoms:
-        for combo in itertools.product(*(expansions(t) for t in raw.args)):
-            atoms.add(Atom(raw.pred, tuple(mapped(t) for t in combo)))
-
-    head = [mapped(pc.name) for pc in frees]
-    assembled = Formula(head, atoms)
-    return canonical_rename(nearly_connected_part(assembled))
+    atoms = {
+        Atom(pred, combo)
+        for pred, args in _reachable_product(summaries, frees)
+        for combo in itertools.product(*map(choices, args))
+    }
+    head = [choices(pc)[0] for pc in frees]
+    return canonical_rename(nearly_connected_part(Formula(head, atoms)))
 
 
 def build_can(unit: Unit, kb: SelectiveKB, stream: bool = False) -> Formula:
     """The canonical characterization of a unit.
 
     The unit's tuples are ordered lexicographically before multiplying, so
-    repeated runs produce the same formula.  With ``stream`` the product
-    atoms are consumed one at a time instead of materializing the product
-    dataset first; the output is identical.
+    repeated runs produce the same formula.  ``stream`` is accepted and
+    ignored: the product is always built by search from the free product
+    constants, never materialized whole.
     """
     return _can_from_tuples(unit.sorted_tuples(), kb, stream=stream)
 

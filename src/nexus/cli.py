@@ -259,12 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("can", help="canonical characterization of the unit")
     common(p)
-    p.add_argument("--stream", action="store_true", help="stream the product atoms")
+    p.add_argument("--stream", action="store_true", help="accepted and ignored")
     p.set_defaults(fn=cmd_can)
 
     p = sub.add_parser("core", help="core characterization of the unit")
     common(p)
-    p.add_argument("--stream", action="store_true")
+    p.add_argument("--stream", action="store_true", help="accepted and ignored")
     p.set_defaults(fn=cmd_core)
 
     p = sub.add_parser("def", help="is the unit definable?")

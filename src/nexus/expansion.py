@@ -197,11 +197,11 @@ class ExpansionGraph:
         return "\n".join(lines) + "\n"
 
 
-def _class_of_tuple(args):
-    unit, kb, tau, budget = args
+def _class_of_tuple(unit: Unit, kb: SelectiveKB, tau: ConstTuple, budget: int | None):
+    """The canonical characterization of ``unit + tau`` and its instance
+    set, the fingerprint its class is grouped by."""
     can = _can_from_tuples(sorted(unit.tuples | {tau}), kb)
-    fingerprint = frozenset(instances(can, kb, budget))
-    return tau, can, fingerprint
+    return can, frozenset(instances(can, kb, budget))
 
 
 def build_expansion_graph(
@@ -229,18 +229,17 @@ def build_expansion_graph(
         )
     space = [tuple(t) for t in itertools.product(consts, repeat=n)]
 
-    results = [_class_of_tuple((unit, kb, tau, budget)) for tau in space]
-
     # group by instance fingerprint, then confirm by hom-equivalence
-    groups: dict[frozenset, list[tuple[ConstTuple, Formula]]] = {}
-    for tau, can, fingerprint in results:
-        groups.setdefault(fingerprint, []).append((tau, can))
+    groups: dict[frozenset, list[Formula]] = {}
+    for tau in space:
+        can, fingerprint = _class_of_tuple(unit, kb, tau, budget)
+        groups.setdefault(fingerprint, []).append(can)
 
     classes: list[tuple[frozenset, Formula]] = []
     for fingerprint in sorted(groups, key=lambda f: sorted(f)):
         members = groups[fingerprint]
         reps: list[Formula] = []
-        for _tau, can in members:
+        for can in members:
             if not any(equivalent(can, rep, budget) for rep in reps):
                 reps.append(can)
         if len(reps) != 1:

@@ -8,6 +8,7 @@ language requires the formula to be open and at least nearly connected.
 
 from __future__ import annotations
 
+import heapq
 import re
 from collections.abc import Iterable
 
@@ -233,44 +234,70 @@ def canonical_rename(phi: Formula) -> Formula:
     variables get y1,y2,... following a traversal that prefers atoms
     already anchored to named variables and constants.
 
+    Each step takes the pending atom (one with an unnamed variable) that
+    is least under ``render_key`` and names its unnamed variables in
+    argument order.  The key is injective, so the order is total.  A heap
+    holds the pending atoms by key; naming a variable re-pushes only the
+    atoms holding it, under their new key, and an entry whose key is no
+    longer current is dropped when popped.
+
     Stable for a fixed input; isomorphic inputs may still print
     differently (class equality goes through homomorphisms instead).
     """
     taken = set(phi.constants)
-    mapping: dict[Var, Var] = {}
+    named: dict[str, str] = {}  # variable name -> its new name
     for v in phi.distinct_free_vars():
-        name = f"x{len(mapping) + 1}"
+        name = f"x{len(named) + 1}"
         while name in taken:
             name += "_"
-        mapping[v] = Var(name)
+        named[v.name] = name
 
     def render_key(a: Atom):
-        parts = []
-        for t in a.args:
-            if not is_var(t):
-                parts.append((0, t))
-            elif t in mapping:
-                parts.append((1, mapping[t].name))
-            else:
-                parts.append((2, t.name))
-        return (a.pred, len(a.args), tuple(parts))
+        parts = tuple([
+            (0, t) if not isinstance(t, Var)
+            else (1, named[t.name]) if t.name in named
+            else (2, t.name)
+            for t in a.args
+        ])
+        return (a.pred, len(a.args), parts)
 
-    pending = [a for a in phi.atoms if any(is_var(t) and t not in mapping for t in a.args)]
+    atoms: list[Atom] = []
+    unnamed: list[list[str]] = []  # per pending atom, its unnamed variables
+    holding: dict[str, list[int]] = {}
+    for a in phi.atoms:
+        names = [t.name for t in a.args if isinstance(t, Var) and t.name not in named]
+        if names:
+            for name in set(names):
+                holding.setdefault(name, []).append(len(atoms))
+            atoms.append(a)
+            unnamed.append(names)
+    current = [render_key(a) for a in atoms]
+    heap = [(key, i) for i, key in enumerate(current)]
+    heapq.heapify(heap)
     body_count = 0
-    while pending:
-        nxt = min(pending, key=render_key)
-        for t in nxt.args:
-            if is_var(t) and t not in mapping:
+    while heap:
+        key, i = heapq.heappop(heap)
+        if current[i] is not key:
+            continue
+        current[i] = None
+        touched: set[int] = set()
+        for old in unnamed[i]:
+            if old not in named:
                 body_count += 1
                 name = f"y{body_count}"
                 while name in taken:
                     name += "_"
-                mapping[t] = Var(name)
-        pending = [
-            a for a in pending
-            if any(is_var(t) and t not in mapping for t in a.args)
-        ]
-    return phi.rename(mapping)
+                named[old] = name
+                touched.update(holding[old])
+        for j in touched:
+            if current[j] is None:
+                continue
+            if any(old not in named for old in unnamed[j]):
+                current[j] = render_key(atoms[j])
+                heapq.heappush(heap, (current[j], j))
+            else:
+                current[j] = None
+    return phi.rename({v: Var(named[v.name]) for v in phi.vars})
 
 
 # ---------------------------------------------------------------------------

@@ -111,7 +111,7 @@ def _check_arities(atoms: Iterable[Atom]) -> dict[str, int]:
 class Dataset:
     """A finite nonempty set of ground atoms closed under ``top``."""
 
-    __slots__ = ("atoms", "domain", "omega", "_by_pred")
+    __slots__ = ("atoms", "domain", "omega", "_by_pred", "_by_subject")
 
     def __init__(self, atoms: Iterable[Atom]):
         atomset = frozenset(atoms)
@@ -131,6 +131,7 @@ class Dataset:
         self.domain = domain
         self.omega = max(a.arity for a in atomset)
         self._by_pred: dict[str, frozenset[Atom]] | None = None
+        self._by_subject: dict[str, tuple[Atom, ...]] | None = None
 
     def by_pred(self) -> dict[str, frozenset[Atom]]:
         if self._by_pred is None:
@@ -139,6 +140,17 @@ class Dataset:
                 grouped.setdefault(a.pred, set()).add(a)
             self._by_pred = {p: frozenset(s) for p, s in grouped.items()}
         return self._by_pred
+
+    def by_subject(self) -> dict[str, tuple[Atom, ...]]:
+        """Binary atoms grouped by their first argument (``top`` is unary,
+        so none of them is a ``top`` atom)."""
+        if self._by_subject is None:
+            grouped: dict[str, list[Atom]] = {}
+            for a in self.atoms:
+                if len(a.args) == 2:
+                    grouped.setdefault(a.args[0], []).append(a)
+            self._by_subject = {c: tuple(atoms) for c, atoms in grouped.items()}
+        return self._by_subject
 
     def __contains__(self, a: Atom) -> bool:
         return a in self.atoms
@@ -261,20 +273,13 @@ def validate_unit(tuples: Iterable[ConstTuple], dataset: Dataset) -> Unit:
 def _sigma0_single(dataset: Dataset, entity: str) -> set[Atom]:
     """Relevant atoms for one entity: its classes, its direct (binary)
     properties, and the direct properties of the entities those point at."""
+    by_subject = dataset.by_subject()
     a_part: set[Atom] = set()
     b_part: set[Atom] = set()
-    for at in dataset.atoms:
-        if at.arity == 2 and at.args[0] == entity:
-            if at.pred == "isa":
-                a_part.add(at)
-            elif at.pred != TOP:
-                b_part.add(at)
+    for at in by_subject.get(entity, ()):
+        (a_part if at.pred == "isa" else b_part).add(at)
     hops = {at.args[1] for at in b_part}
-    c_part = {
-        at
-        for at in dataset.atoms
-        if at.arity == 2 and at.pred not in ("isa", TOP) and at.args[0] in hops
-    }
+    c_part = {at for hop in hops for at in by_subject.get(hop, ()) if at.pred != "isa"}
     picked = a_part | b_part | c_part
     tops = {Atom(TOP, (c,)) for a in picked for c in a.args}
     return picked | tops | {Atom(TOP, (entity,))}

@@ -1,0 +1,117 @@
+"""The materialize-then-prune canonical characterization and the quadratic
+canonical renaming that ``nexus`` used before the reachable product and the
+heap-ordered renaming, kept verbatim as a test-only reference.  The
+differential tests require the current pipeline to return equal formulas
+with identical text on every input.
+"""
+
+from __future__ import annotations
+
+import itertools
+from collections.abc import Iterable, Sequence
+
+from nexus.characterize import (
+    PRODUCT_PREFIX,
+    ProductConstant,
+    iter_product_atoms,
+    product_datasets,
+    product_tuples,
+)
+from nexus.formulas import Formula, nearly_connected_part
+from nexus.kb import Atom, ConstTuple, SelectiveKB, Var, is_var
+
+
+def canonical_rename(phi: Formula) -> Formula:
+    """Deterministically rename variables: head becomes x1,x2,... and body
+    variables get y1,y2,... following a traversal that prefers atoms
+    already anchored to named variables and constants.
+
+    Stable for a fixed input; isomorphic inputs may still print
+    differently (class equality goes through homomorphisms instead).
+    """
+    taken = set(phi.constants)
+    mapping: dict[Var, Var] = {}
+    for v in phi.distinct_free_vars():
+        name = f"x{len(mapping) + 1}"
+        while name in taken:
+            name += "_"
+        mapping[v] = Var(name)
+
+    def render_key(a: Atom):
+        parts = []
+        for t in a.args:
+            if not is_var(t):
+                parts.append((0, t))
+            elif t in mapping:
+                parts.append((1, mapping[t].name))
+            else:
+                parts.append((2, t.name))
+        return (a.pred, len(a.args), tuple(parts))
+
+    pending = [a for a in phi.atoms if any(is_var(t) and t not in mapping for t in a.args)]
+    body_count = 0
+    while pending:
+        nxt = min(pending, key=render_key)
+        for t in nxt.args:
+            if is_var(t) and t not in mapping:
+                body_count += 1
+                name = f"y{body_count}"
+                while name in taken:
+                    name += "_"
+                mapping[t] = Var(name)
+        pending = [
+            a for a in pending
+            if any(is_var(t) and t not in mapping for t in a.args)
+        ]
+    return phi.rename(mapping)
+
+
+def _can_from_tuples(
+    tuples: Sequence[ConstTuple], kb: SelectiveKB, stream: bool = False
+) -> Formula:
+    """The product construction for an explicitly ordered tuple sequence."""
+    summaries = [kb.summary(t) for t in tuples]
+    frees = product_tuples(tuples)
+    free_names = {pc.name for pc in frees}
+
+    if stream:
+        product_atoms: Iterable[Atom] = iter_product_atoms(summaries)
+    else:
+        product_atoms = product_datasets(summaries).sorted_atoms()
+
+    var_of: dict[str, Var] = {}
+
+    def mapped(term: str):
+        """The assembled formula's term for a product or base constant."""
+        if not term.startswith(PRODUCT_PREFIX):
+            return term
+        hit = var_of.get(term)
+        if hit is not None:
+            return hit
+        pc = ProductConstant.from_name(term)
+        if term in free_names:
+            out = Var("x" + term[1:])
+        elif pc.is_gene:
+            return pc.parts[0]
+        else:
+            out = Var("y" + term[1:])
+        var_of[term] = out
+        return out
+
+    def expansions(term: str):
+        """The clone set of an argument: a free all-parts-equal constant
+        additionally spawns its base constant."""
+        if term.startswith(PRODUCT_PREFIX) and term in free_names:
+            pc = ProductConstant.from_name(term)
+            if pc.is_gene:
+                return (term, pc.parts[0])
+        return (term,)
+
+    atoms: set[Atom] = set()
+    for raw in product_atoms:
+        for combo in itertools.product(*(expansions(t) for t in raw.args)):
+            atoms.add(Atom(raw.pred, tuple(mapped(t) for t in combo)))
+
+    head = [mapped(pc.name) for pc in frees]
+    assembled = Formula(head, atoms)
+    return canonical_rename(nearly_connected_part(assembled))

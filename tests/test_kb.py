@@ -13,9 +13,11 @@ from nexus.errors import (
     UnknownConstant,
 )
 from nexus.kb import (
+    TOP,
     Atom,
     SelectiveKB,
     SelectorSpec,
+    _sigma0_single,
     atom,
     close_under_top,
     parse_facts,
@@ -25,6 +27,7 @@ from nexus.kb import (
     summarize,
     validate_unit,
 )
+from nexus.oracles import RandomSkbConfig, random_skb
 
 
 def test_close_single_atom():
@@ -157,6 +160,43 @@ def test_sigma0_isolated_entity_still_valid():
     ds = close_under_top([atom("p", "a", "b"), atom("top", "lonely")])
     kb = SelectiveKB(ds, SelectorSpec.sigma0())
     assert kb.summary(("lonely",)).atoms == {atom("top", "lonely")}
+
+
+def _sigma0_scan(dataset, entity):
+    """The scanning sigma0 selection that the subject index replaced, kept
+    verbatim as the reference."""
+    a_part: set[Atom] = set()
+    b_part: set[Atom] = set()
+    for at in dataset.atoms:
+        if at.arity == 2 and at.args[0] == entity:
+            if at.pred == "isa":
+                a_part.add(at)
+            elif at.pred != TOP:
+                b_part.add(at)
+    hops = {at.args[1] for at in b_part}
+    c_part = {
+        at
+        for at in dataset.atoms
+        if at.arity == 2 and at.pred not in ("isa", TOP) and at.args[0] in hops
+    }
+    picked = a_part | b_part | c_part
+    tops = {Atom(TOP, (c,)) for a in picked for c in a.args}
+    return picked | tops | {Atom(TOP, (entity,))}
+
+
+def test_sigma0_index_matches_scan(parks_dataset):
+    datasets = [parks_dataset]
+    for seed in range(40):
+        config = RandomSkbConfig(
+            max_constants=6,
+            predicates=(("isa", 2), ("p", 2), ("r", 2), ("q", 1)),
+            atom_density=0.15 + 0.01 * (seed % 10),
+            seed=seed,
+        )
+        datasets.append(random_skb(config).dataset)
+    for ds in datasets:
+        for c in sorted(ds.domain):
+            assert _sigma0_single(ds, c) == _sigma0_scan(ds, c), c
 
 
 def test_full_selector_returns_dataset(parks_kb):
