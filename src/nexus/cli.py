@@ -152,10 +152,14 @@ def cmd_eg(args) -> int:
     graph = build_expansion_graph(
         unit, kb, tuple_cap=args.cap, budget=args.budget, threads=args.threads
     )
+    del kb  # its summary cache need not outlive the graph into the exports
     if args.dot:
         Path(args.dot).write_text(graph.to_dot(), encoding="utf-8")
     if args.json:
-        Path(args.json).write_text(graph.to_json(), encoding="utf-8")
+        # streamed: the same text as ``graph.to_json()``, never held whole
+        with open(args.json, "w", encoding="utf-8") as fh:
+            json.dump(graph.to_json_dict(), fh, indent=2, sort_keys=True)
+            fh.write("\n")
     lines = [f"nodes: {len(graph.nodes)}", f"arcs: {len(graph.arcs)}"]
     for i, node in enumerate(graph.nodes):
         mark = " (source)" if i == graph.source else ""

@@ -24,6 +24,7 @@ from .homs import (
     instances,
     iter_instances,
     maps_to,
+    membership_test,
     tuple_membership,
 )
 from .kb import ConstTuple, SelectiveKB, Unit, validate_unit
@@ -197,11 +198,73 @@ class ExpansionGraph:
         return "\n".join(lines) + "\n"
 
 
-def _class_of_tuple(unit: Unit, kb: SelectiveKB, tau: ConstTuple, budget: int | None):
+class _Closures:
+    """What is known of E(t) = ess(U + t), the fingerprint of each tuple t,
+    while the tuple space is classified in order.
+
+    ess is a closure operator, so three facts hold for every t and s:
+    ess(U) is a subset of E(t); t is in E(t); and s in E(t) implies that
+    E(s) is a subset of E(t).  ``infer`` uses them to decide most of
+    E(tau) without a search, and runs a pinned search of can(U + tau) only
+    for the memberships no known fact settles.
+    """
+
+    def __init__(self, kb: SelectiveKB, space: list[ConstTuple], base: frozenset):
+        self.kb = kb
+        self.space = frozenset(space)
+        self.base = base  # ess(U)
+        self.known: dict[ConstTuple, frozenset] = {}  # classified tuple -> E
+        self.members: dict[frozenset, list[ConstTuple]] = {}  # E -> its tuples
+
+    def infer(self, tau: ConstTuple, can: Formula, budget: int | None) -> frozenset:
+        if tau in self.base:
+            fingerprint = self.base
+        else:
+            # E(tau) lies inside every known E that holds tau, and a known t
+            # whose E(t) is not inside that bound cannot be in E(tau)
+            upper = frozenset.intersection(
+                self.space, *(e for e in self.members if tau in e)
+            )
+            inside = set(self.base)
+            inside.add(tau)
+            outside = {
+                t for e, members in self.members.items() if not e <= upper
+                for t in members
+            }
+            # if the bound is a known class, E(tau) is it exactly when that
+            # class's representative is in E(tau)
+            first = self.members[upper][:1] if upper in self.members else []
+            is_member = membership_test(can, self.kb, budget)
+            for sigma in itertools.chain(first, sorted(upper)):
+                if sigma in inside or sigma in outside:
+                    continue
+                if is_member(sigma):
+                    inside.add(sigma)
+                    inside.update(self.known.get(sigma, ()))
+                else:
+                    # t with sigma in E(t) cannot be in E(tau)
+                    outside.add(sigma)
+                    for e, members in self.members.items():
+                        if sigma in e:
+                            outside.update(members)
+            fingerprint = frozenset(inside)
+        members = self.members.get(fingerprint)
+        if members is None:
+            self.members[fingerprint] = members = []
+        else:  # one frozenset per class, not one per tuple
+            fingerprint = self.known[members[0]]
+        members.append(tau)
+        self.known[tau] = fingerprint
+        return fingerprint
+
+
+def _class_of_tuple(
+    unit: Unit, kb: SelectiveKB, tau: ConstTuple, closures: _Closures, budget: int | None
+):
     """The canonical characterization of ``unit + tau`` and its instance
     set, the fingerprint its class is grouped by."""
     can = _can_from_tuples(sorted(unit.tuples | {tau}), kb)
-    return can, frozenset(instances(can, kb, budget))
+    return can, closures.infer(tau, can, budget)
 
 
 def build_expansion_graph(
@@ -214,11 +277,19 @@ def build_expansion_graph(
     """Classify every tuple over the dataset domain against the unit.
 
     Tuples are grouped by the instance set of their extended canonical
-    characterization (equal classes always share it), each group is
-    confirmed hom-equivalent to its representative, arcs are the cover
-    relation of the hom-order on class cores, and direct instances follow
-    from subtracting each node's arc predecessors.  ``threads`` is accepted
-    and ignored, as in ``instances``.
+    characterization, E(tau) = ess(U + tau); equal classes always share it.
+    E is inferred rather than swept over the whole space, from three
+    closure facts: ess(U) is a subset of every E(tau), so a tau inside
+    ess(U) takes ess(U) itself; tau is in E(tau); and sigma in E(tau)
+    implies E(sigma) is a subset of E(tau), so one membership settles
+    many (see ``_Closures``).  Still checked: every tuple's canonical
+    characterization is built and confirmed hom-equivalent to its class
+    representative, the first tuple of the class in space order; arcs are
+    the cover relation of the hom-order on class cores, tested only between
+    classes whose instance sets are nested (hom-order implies inclusion);
+    direct instances follow from subtracting each node's arc predecessors;
+    and ``_check_invariants`` recomputes ess(U) on its own.  ``threads`` is
+    accepted and ignored, as in ``instances``.
     """
     n = unit.arity
     consts = sorted(kb.dataset.domain)
@@ -228,32 +299,28 @@ def build_expansion_graph(
             cap=tuple_cap,
         )
     space = [tuple(t) for t in itertools.product(consts, repeat=n)]
+    unit_can = _can_from_tuples(unit.sorted_tuples(), kb)
+    closures = _Closures(kb, space, frozenset(instances(unit_can, kb, budget)))
 
-    # group by instance fingerprint, then confirm by hom-equivalence
-    groups: dict[frozenset, list[Formula]] = {}
+    # group by instance fingerprint, confirming each member by
+    # hom-equivalence to the first one
+    reps: dict[frozenset, Formula] = {}
     for tau in space:
-        can, fingerprint = _class_of_tuple(unit, kb, tau, budget)
-        groups.setdefault(fingerprint, []).append(can)
-
-    classes: list[tuple[frozenset, Formula]] = []
-    for fingerprint in sorted(groups, key=lambda f: sorted(f)):
-        members = groups[fingerprint]
-        reps: list[Formula] = []
-        for can in members:
-            if not any(equivalent(can, rep, budget) for rep in reps):
-                reps.append(can)
-        if len(reps) != 1:
+        can, fingerprint = _class_of_tuple(unit, kb, tau, closures, budget)
+        rep = reps.setdefault(fingerprint, can)
+        if rep is not can and not equivalent(can, rep, budget):
             raise AssertionError(
                 "tuples with equal instance sets landed in different classes"
             )
-        classes.append((fingerprint, reps[0]))
+    classes = sorted(reps.items(), key=lambda item: sorted(item[0]))
 
     cores = [core_of_formula(can, budget) for _fp, can in classes]
 
     k = len(cores)
     reaches = [[False] * k for _ in range(k)]
     for i, j in itertools.permutations(range(k), 2):
-        reaches[i][j] = maps_to(cores[j], cores[i], budget)
+        if classes[i][0] < classes[j][0]:
+            reaches[i][j] = maps_to(cores[j], cores[i], budget)
     arcs = {
         (i, j)
         for i in range(k)
@@ -271,9 +338,7 @@ def build_expansion_graph(
         covered = set().union(*(classes[i][0] for i in preds)) if preds else set()
         direct.append(frozenset(classes[j][0] - covered))
 
-    source_class = canonical_class(
-        _can_from_tuples(unit.sorted_tuples(), kb), budget
-    )
+    source_class = canonical_class(unit_can, budget)
     source_candidates = [
         i for i in range(k) if FormulaClass(cores[i]) == source_class
     ]

@@ -24,8 +24,8 @@ Each node is cheap:
 * The source side is compiled once per formula: its terms numbered, so a
   search keeps its assignment in a list, its atoms sorted, and the
   variables' order and atoms fixed.  Sweeps over many tuples
-  (``instances``, ``iter_instances``, ``evaluate``) and the atom-by-atom
-  core pay for it once.
+  (``membership_test``, which ``instances`` and ``iter_instances`` use,
+  and ``evaluate``) and the atom-by-atom core pay for it once.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, insort
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 
 from .errors import ArityMismatch, BudgetExceeded
@@ -513,25 +513,33 @@ def evaluate(phi: Formula, dataset: Dataset, budget: int | None = None):
     return out
 
 
-def _is_instance(
-    source: _Source, phi: Formula, kb: SelectiveKB, tau: ConstTuple, budget: int | None
-) -> bool:
-    if len(tau) != phi.arity:
-        raise ArityMismatch(f"tuple arity {len(tau)} != formula arity {phi.arity}")
-    pins: dict = {}
-    for v, c in zip(phi.free_vars, tau):
-        if pins.get(v, c) != c:
-            return False
-        pins[v] = c
-    summary = kb.summary(tau)
-    return _run(source, _Target(summary.atoms, summary.domain), pins, budget) is not None
+def membership_test(
+    phi: Formula, kb: SelectiveKB, budget: int | None = None
+) -> Callable[[ConstTuple], bool]:
+    """Compile phi once; the returned function decides, for one tuple, what
+    ``tuple_membership`` decides: one pinned hom search into its summary."""
+    source = _Source(phi.atoms, phi.free_vars)
+    free_vars, arity = phi.free_vars, phi.arity
+
+    def is_instance(tau: ConstTuple) -> bool:
+        if len(tau) != arity:
+            raise ArityMismatch(f"tuple arity {len(tau)} != formula arity {arity}")
+        pins: dict = {}
+        for v, c in zip(free_vars, tau):
+            if pins.get(v, c) != c:
+                return False
+            pins[v] = c
+        summary = kb.summary(tau)
+        return _run(source, _Target(summary.atoms, summary.domain), pins, budget) is not None
+
+    return is_instance
 
 
 def tuple_membership(
     phi: Formula, kb: SelectiveKB, tau: ConstTuple, budget: int | None = None
 ) -> bool:
     """Is tau an instance of phi: one pinned hom search into its summary."""
-    return _is_instance(_Source(phi.atoms, phi.free_vars), phi, kb, tau, budget)
+    return membership_test(phi, kb, budget)(tau)
 
 
 def iter_instances(
@@ -542,10 +550,7 @@ def iter_instances(
 ) -> Iterator[ConstTuple]:
     """The candidates that are instances of phi, lazily and in the given
     order; each is decided as ``tuple_membership`` decides it."""
-    source = _Source(phi.atoms, phi.free_vars)
-    for tau in candidates:
-        if _is_instance(source, phi, kb, tau, budget):
-            yield tau
+    return filter(membership_test(phi, kb, budget), candidates)
 
 
 def instances(

@@ -4,6 +4,8 @@ import pathlib
 import pytest
 
 from nexus.cli import run
+from nexus.expansion import build_expansion_graph
+from nexus.kb import SelectiveKB, SelectorSpec, parse_facts, parse_unit_tuples, validate_unit
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 FACTS = str(DATA / "parks.nxf")
@@ -123,6 +125,9 @@ def test_eg_dot_and_json(capsys, tmp_path):
     graph = json.loads(js.read_text())
     assert len(graph["nodes"]) == 6
     assert sum(n["is_source"] for n in graph["nodes"]) == 1
+    kb = SelectiveKB(parse_facts(pathlib.Path(FACTS).read_text()), SelectorSpec.sigma0())
+    unit = validate_unit(parse_unit_tuples(pathlib.Path(UNIT).read_text()), kb.dataset)
+    assert js.read_text() == build_expansion_graph(unit, kb).to_json()
 
 
 def test_outputs_deterministic_including_threads(capsys, tmp_path):

@@ -1,0 +1,150 @@
+"""Differential tests: the expansion graph classified by closure inference
+against the builder that swept every tuple's full instance set
+(``reference_expansion``).  Both must group the tuples identically, with
+each class's tuples in space order, and print identical JSON and DOT."""
+
+import itertools
+
+from hypothesis import assume, given, settings, strategies as st
+
+import reference_expansion
+from nexus import expansion
+from nexus.kb import (
+    SelectiveKB, SelectorSpec, atom, close_under_top, duplicate_columns, validate_unit,
+)
+from nexus.oracles import RandomSkbConfig, random_skb
+
+
+def classified(unit, kb):
+    """The graph and each fingerprint's tuples in the order classified."""
+    groups: dict = {}
+
+    def recording(unit_, kb_, tau, *rest):
+        can, fingerprint = original(unit_, kb_, tau, *rest)
+        groups.setdefault(fingerprint, []).append(tau)
+        return can, fingerprint
+
+    original = expansion._class_of_tuple
+    expansion._class_of_tuple = recording
+    try:
+        graph = expansion.build_expansion_graph(unit, kb)
+    finally:
+        expansion._class_of_tuple = original
+    return graph, groups
+
+
+def searches(unit, kb) -> int:
+    """Pinned membership searches run while classifying the tuples."""
+    count = 0
+
+    def counting(phi, kb_, budget=None):
+        is_member = original(phi, kb_, budget)
+
+        def counted(tau):
+            nonlocal count
+            count += 1
+            return is_member(tau)
+
+        return counted
+
+    original = expansion.membership_test
+    expansion.membership_test = counting
+    try:
+        expansion.build_expansion_graph(unit, kb)
+    finally:
+        expansion.membership_test = original
+    return count
+
+
+def assert_same_graph(unit, kb):
+    graph, groups = classified(unit, kb)
+    want, want_groups = reference_expansion.build_expansion_graph(unit, kb)
+    assert groups == want_groups
+    assert graph == want
+    assert graph.to_json() == want.to_json()
+    assert graph.to_dot() == want.to_dot()
+
+
+def test_parks_shipped_unit(parks_kb, parks_unit):
+    assert_same_graph(parks_unit, parks_kb)
+
+
+def test_parks_arity_two(parks_kb, parks_dataset):
+    unit = validate_unit([("Discovery_Cove", "Florida"), ("Epcot", "Florida")], parks_dataset)
+    assert_same_graph(unit, parks_kb)
+
+
+def test_parks_classification_stays_far_below_the_full_sweep(parks_kb, parks_dataset):
+    """169 tuples would take 169 x 169 = 28,561 searches one sweep per
+    tuple; the known supersets and their intersection settle all but a
+    few."""
+    unit = validate_unit([("Discovery_Cove", "Florida"), ("Epcot", "Florida")], parks_dataset)
+    assert searches(unit, parks_kb) < 1_500
+
+
+def test_every_tuple_in_ess_runs_no_classification_search():
+    """Over a complete graph ess(U) is the whole space, so every tuple
+    takes ess(U) itself."""
+    kb = SelectiveKB(
+        close_under_top([atom("r", s, o) for s in "ab" for o in "ab"]),
+        SelectorSpec.full(),
+    )
+    unit = validate_unit([("a", "b"), ("b", "a")], kb.dataset)
+    graph, groups = classified(unit, kb)
+    assert list(groups.values()) == [[("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]]
+    assert len(graph.nodes) == 1
+    assert searches(unit, kb) == 0
+    assert_same_graph(unit, kb)
+
+
+def test_representative_is_the_first_tuple_in_space_order():
+    """Hom-equivalent cores can print differently: here (e1,e1) and (e3,e1)
+    share a class, but their cores come out renamed differently, so only
+    the first tuple's core prints as the exhaustive builder printed it."""
+    kb = random_skb(RandomSkbConfig(
+        max_constants=4, predicates=(("isa", 2), ("p", 2)), atom_density=0.2,
+        selector="full", seed=6893,
+    ))
+    assert_same_graph(validate_unit([("e1", "e3"), ("e2", "e2")], kb.dataset), kb)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    selector=st.sampled_from(["sigma0", "full", "neighborhood:1"]),
+    arity=st.integers(1, 2),
+    data=st.data(),
+)
+def test_matches_reference_on_random_skbs(seed, selector, arity, data):
+    # At most 4 constants, 2 random predicates, and under ``full`` at most
+    # 2 tuples: ``full`` multiplies whole copies of the KB, and on bigger
+    # inputs both builders spend tens of seconds on the class cores, which
+    # they compute alike, not on the grouping under test.
+    size = data.draw(st.integers(1, 2 if selector == "full" else 3))
+    kb = random_skb(RandomSkbConfig(
+        max_constants=4,
+        predicates=(("isa", 2), ("p", 2)),
+        atom_density=0.2,
+        selector=selector,
+        seed=seed,
+    ))
+    consts = sorted(kb.dataset.domain)
+    row = st.tuples(*[st.sampled_from(consts)] * arity)
+    tuples = data.draw(st.lists(row, min_size=1, max_size=size, unique=True))
+    assume(duplicate_columns(tuples, arity) is None)  # units must be proper
+    assert_same_graph(validate_unit(tuples, kb.dataset), kb)
+
+
+def test_matches_reference_on_seeded_corpus():
+    """Units of arity 1-2 and size 1-3 on a seeded corpus, under each
+    selector."""
+    for seed, selector in itertools.product(range(12), ["sigma0", "full", "neighborhood:1"]):
+        kb = random_skb(RandomSkbConfig(
+            max_constants=4, predicates=(("isa", 2), ("p", 2)), atom_density=0.2,
+            selector=selector, seed=900 + seed,
+        ))
+        consts = sorted(kb.dataset.domain)
+        space = list(itertools.product(consts, repeat=1 + seed % 2))
+        tuples = {space[(7 * i + seed) % len(space)] for i in range(1 + seed % 3)}
+        if duplicate_columns(tuples, len(space[0])) is None:
+            assert_same_graph(validate_unit(tuples, kb.dataset), kb)
