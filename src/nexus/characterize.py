@@ -160,10 +160,17 @@ def _can_from_tuples(
     is built.  That is exact: every assembled term comes from one product
     constant (``x|…`` from a free one, ``y|…`` from any other non-gene, a
     base constant b from the gene (b,…,b)), so assembled atoms sharing a
-    term come from product atoms sharing a product constant.  The
-    nearly-connected part is still taken, because base clones of a free
-    gene, such as ``top(b)`` from ``top(x|b|b)``, can fall outside the free
-    variables' component.  ``stream`` is accepted and ignored.
+    term come from product atoms sharing a product constant.
+
+    The nearly-connected part is taken only when some unit column is a
+    free gene (all tuples share its constant b), because base clones of
+    it, such as ``top(b)`` from ``top(x|b|b)``, can fall outside the free
+    variables' component.  Without a free gene every product constant has
+    exactly one assembled term, so each reachable product atom assembles
+    to one atom, and the product atoms linking it to a free product
+    constant assemble to atoms linking it, term by term, to a free
+    variable: the nearly-connected part would keep everything.
+    ``stream`` is accepted and ignored.
     """
     summaries = [kb.summary(t) for t in tuples]
     frees = [pc.parts for pc in product_tuples(tuples)]
@@ -193,7 +200,10 @@ def _can_from_tuples(
         for combo in itertools.product(*map(choices, args))
     }
     head = [choices(pc)[0] for pc in frees]
-    return canonical_rename(nearly_connected_part(Formula(head, atoms)))
+    can = Formula(head, atoms)
+    if any(len(set(pc)) == 1 for pc in frees):
+        can = nearly_connected_part(can)
+    return canonical_rename(can)
 
 
 def build_can(unit: Unit, kb: SelectiveKB, stream: bool = False) -> Formula:

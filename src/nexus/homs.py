@@ -11,11 +11,16 @@ so results are reproducible.
 
 Each node is cheap:
 
-* The target is indexed per search: its argument tuples by predicate and
-  arity, and, built on first use, the tuples holding a given value at a
-  given position and the set of values of each column.  An atom's
-  supports come from the shortest tuple list of its fixed positions; a
-  fully fixed atom is one set lookup.
+* The target is indexed: its argument tuples by predicate and arity, and,
+  built on first use, the tuples holding a given value at a given position
+  and the set of values of each column.  An atom's supports come from the
+  shortest tuple list of its fixed positions; a fully fixed atom is one
+  set lookup.  The index is built per search, with two exceptions: the
+  core keeps one index of its current atoms for the whole pass, taking
+  out and putting back one atom per test, and a whole dataset's index is
+  built at most once per ``Dataset`` (``_dataset_target``), for
+  ``evaluate`` and for the sweep filter below.  A summary's index is never
+  kept.
 * The search is a loop over an explicit stack.  Narrowed candidate sets
   are recorded on a trail and restored on backtracking, and the open
   variables wait in buckets by candidate count, sorted by name, so
@@ -25,7 +30,12 @@ Each node is cheap:
   search keeps its assignment in a list, its atoms sorted, and the
   variables' order and atoms fixed.  Sweeps over many tuples
   (``membership_test``, which ``instances`` and ``iter_instances`` use,
-  and ``evaluate``) and the atom-by-atom core pay for it once.
+  and ``evaluate``) pay for it once.  The core compiles each block once
+  and takes each dropped atom out of it.
+* A sweep rejects a tuple before selecting or indexing its summary when
+  some free variable's value is one that no atom holding it allows in the
+  whole dataset.  Summaries are sub-datasets, so such a tuple has no
+  homomorphism into its summary either.
 """
 
 from __future__ import annotations
@@ -97,11 +107,12 @@ class _Source:
     variables only restricts each of them to a column of the target, so
     the root pass intersects columns once per distinct set of them
     (``by_columns``) and asks the index only for the other atoms
-    (``fixed_atoms``).
+    (``fixed_atoms``).  ``columns`` counts, per slot, the atoms that put it
+    in each column, so that ``drop`` can keep ``by_columns`` in step.
     """
 
     __slots__ = ("terms", "slot", "consts", "template", "atoms", "variables",
-                 "by_var", "by_rank", "rank", "fixed_atoms", "by_columns")
+                 "by_var", "by_rank", "rank", "fixed_atoms", "columns", "by_columns")
 
     def __init__(self, atoms: Iterable[Atom], pinned: Iterable = ()):
         pinned = set(pinned)
@@ -110,7 +121,7 @@ class _Source:
         self.atoms = []
         by_var: dict[int, list] = {}
         self.fixed_atoms = []
-        columns: dict[int, set] = {}
+        columns: dict[int, dict] = {}
         for a in sorted(set(atoms), key=Atom.key):
             slots = tuple(slot.setdefault(t, len(slot)) for t in a.args)
             compiled = ((a.pred, len(slots)), slots, len(set(slots)) < len(slots))
@@ -119,7 +130,12 @@ class _Source:
                 self.fixed_atoms.append(compiled)
             else:
                 for pos, s in enumerate(slots):
-                    columns.setdefault(s, set()).add((compiled[0], pos))
+                    col = (compiled[0], pos)
+                    cols = columns.get(s)
+                    if cols is None:
+                        columns[s] = {col: 1}
+                    else:
+                        cols[col] = cols.get(col, 0) + 1
             for t, s in zip(a.args, slots):
                 if not is_var(t):
                     self.consts[t] = t
@@ -136,9 +152,41 @@ class _Source:
         self.rank = [0] * len(slot)
         for i, s in enumerate(self.by_rank):
             self.rank[s] = i
+        self.columns = columns
         self.by_columns: dict[tuple, list[int]] = {}
         for s, cols in columns.items():
             self.by_columns.setdefault(tuple(sorted(cols)), []).append(s)
+
+    def drop(self, a: Atom):
+        """Forget one compiled atom.  The searches that follow run as if it
+        had never been compiled: the terms keep their slots and ranks, and
+        a constant it alone held stays in ``consts``."""
+        slots = tuple(self.slot[t] for t in a.args)
+        compiled = ((a.pred, len(slots)), slots, len(set(slots)) < len(slots))
+        self.atoms.remove(compiled)
+        if compiled in self.fixed_atoms:
+            self.fixed_atoms.remove(compiled)
+        else:
+            for pos, s in enumerate(slots):
+                cols, col = self.columns[s], (compiled[0], pos)
+                cols[col] -= 1
+                if cols[col]:
+                    continue
+                group_key = tuple(sorted(cols))
+                group = self.by_columns[group_key]
+                group.remove(s)
+                if not group:
+                    del self.by_columns[group_key]
+                del cols[col]
+                if cols:
+                    self.by_columns.setdefault(tuple(sorted(cols)), []).append(s)
+        for s in set(slots):
+            held = self.by_var[s]
+            if held is not None:
+                held.remove(compiled)
+                if not held:
+                    self.by_var[s] = None
+                    self.variables.remove(s)
 
     def image_of(self, pins: dict) -> list:
         image = self.template.copy()
@@ -189,6 +237,34 @@ class _Target:
         if values is None:
             values = self._columns[(key, pos)] = {tt[pos] for tt in self.rows[key]}
         return values
+
+    def discard(self, a: Atom):
+        """Take one indexed atom out, keeping the lookups built so far in
+        step.  ``domain`` is left as it was, a superset of the terms."""
+        key, args = (a.pred, len(a.args)), a.args
+        self.rows[key].discard(args)
+        for pos, value in enumerate(args):
+            by_value = self._by_value.get((key, pos))
+            if by_value is not None:
+                holding = by_value[value]
+                holding.remove(args)
+                if not holding:
+                    del by_value[value]
+            column = self._columns.get((key, pos))
+            if column is not None and self._holding(key, pos, value) is None:
+                column.discard(value)
+
+    def add(self, a: Atom):
+        """Put back an atom taken out by ``discard``."""
+        key, args = (a.pred, len(a.args)), a.args
+        self.rows[key].add(args)
+        for pos, value in enumerate(args):
+            by_value = self._by_value.get((key, pos))
+            if by_value is not None:
+                by_value.setdefault(value, []).append(args)
+            column = self._columns.get((key, pos))
+            if column is not None:
+                column.add(value)
 
     def supports(self, key, slots, repeats: bool, image: list):
         """The target tuples compatible with the fixed arguments of a
@@ -252,6 +328,35 @@ class _Target:
             for s, p in first.items():
                 supports[s].add(tt[p])
         return list(supports.items()) if found else None
+
+
+def _dataset_target(dataset: Dataset) -> _Target:
+    """The index of a whole dataset, built on first use and kept on the
+    dataset, like ``Dataset.by_pred``."""
+    if dataset.hom_index is None:
+        dataset.hom_index = _Target(dataset.atoms, dataset.domain)
+    return dataset.hom_index
+
+
+def _free_domains(source: _Source, target: _Target, free: Iterable[Var]):
+    """For each free variable, the values that every atom holding it
+    allows in the target, with the formula's constants fixed and every
+    variable open; None when one of those atoms has no support at all.
+    ``source`` must be compiled with the free variables pinned."""
+    slots = {source.slot[v]: v for v in free}
+    domains: dict = {}
+    for key, atom_slots, repeats in source.atoms:
+        if slots.keys().isdisjoint(atom_slots):
+            continue
+        found = target.supports(key, atom_slots, repeats, source.template)
+        if found is None:
+            return None
+        for s, values in found:
+            v = slots.get(s)
+            if v is not None:
+                current = domains.get(v)
+                domains[v] = values if current is None else current & values
+    return domains
 
 
 def _search(
@@ -483,28 +588,15 @@ def evaluate(phi: Formula, dataset: Dataset, budget: int | None = None):
     plain bool for arity-0 formulas.  A formula constant missing from
     the dataset is not an error; it simply produces an empty output.
     """
+    target = _dataset_target(dataset)
     if phi.arity == 0:
-        return _search(phi.atoms, dataset.atoms, {}, budget) is not None
+        return _run(_Source(phi.atoms), target, {}, budget) is not None
     distinct = phi.distinct_free_vars()
-    target = _Target(dataset.atoms, dataset.domain)
     source = _Source(phi.atoms, distinct)
-    candidates: list[list[str]] = []
-    for v in distinct:
-        slot = source.slot[v]
-        dom = None
-        for key, slots, repeats in source.atoms:
-            if slot not in slots:
-                continue
-            supports = target.supports(key, slots, repeats, source.template)
-            if supports is None:
-                return set()
-            for s, values in supports:
-                if s == slot:
-                    dom = values if dom is None else dom & values
-        dom = sorted(dom if dom is not None else dataset.domain)
-        if not dom:
-            return set()
-        candidates.append(dom)
+    allowed = _free_domains(source, target, distinct)
+    if allowed is None:
+        return set()
+    candidates = [sorted(allowed[v]) for v in distinct]
     out = set()
     for combo in itertools.product(*candidates):
         by_var = dict(zip(distinct, combo))
@@ -517,9 +609,21 @@ def membership_test(
     phi: Formula, kb: SelectiveKB, budget: int | None = None
 ) -> Callable[[ConstTuple], bool]:
     """Compile phi once; the returned function decides, for one tuple, what
-    ``tuple_membership`` decides: one pinned hom search into its summary."""
+    ``tuple_membership`` decides: one pinned hom search into its summary.
+
+    A tuple is rejected without selecting its summary when a value falls
+    outside what ``evaluate`` would allow its free variable over the whole
+    dataset: a summary is a sub-dataset, so a homomorphism into it would
+    be one into the dataset too.  A wrong-arity tuple still raises
+    ``ArityMismatch`` and a constant outside the dataset still raises
+    ``TupleOutsideDomain``.  A custom selector's ``SelectorViolation``
+    surfaces only for the tuples that are searched, because the others
+    never reach the selector.
+    """
     source = _Source(phi.atoms, phi.free_vars)
     free_vars, arity = phi.free_vars, phi.arity
+    allowed = _free_domains(source, _dataset_target(kb.dataset), phi.free_vars)
+    columns = None if allowed is None else [allowed[v] for v in free_vars]
 
     def is_instance(tau: ConstTuple) -> bool:
         if len(tau) != arity:
@@ -529,6 +633,9 @@ def membership_test(
             if pins.get(v, c) != c:
                 return False
             pins[v] = c
+        if columns is None or any(c not in values for c, values in zip(tau, columns)):
+            kb.check_domain(tau)
+            return False
         summary = kb.summary(tau)
         return _run(source, _Target(summary.atoms, summary.domain), pins, budget) is not None
 
@@ -575,6 +682,37 @@ def instances(
 # Cores and equivalence classes
 
 
+def _blocks(atoms: Iterable[Atom], free) -> list[list[Atom]]:
+    """The atoms of each block: bound variables linked by sharing an atom,
+    with every atom that holds them.  Free variables and constants link
+    nothing, and atoms with no bound variable are in no block."""
+    parent: dict = {}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    bound: dict[Atom, list] = {}
+    for a in atoms:
+        held = [t for t in a.args if is_var(t) and t not in free]
+        if not held:
+            continue
+        bound[a] = held
+        for v in held:
+            parent.setdefault(v, v)
+        root = find(held[0])
+        for v in held[1:]:
+            other = find(v)
+            if other != root:
+                parent[other] = root
+    blocks: dict = {}
+    for a, held in bound.items():
+        blocks.setdefault(find(held[0]), []).append(a)
+    return list(blocks.values())
+
+
 def core_of_formula(
     phi: Formula, budget: int | None = None, rename: bool = True
 ) -> Formula:
@@ -586,25 +724,50 @@ def core_of_formula(
     intermediate formula stays equivalent to the input.  With
     ``rename=False`` the literal sub-formula is returned instead of its
     canonically renamed presentation.
+
+    Each test moves only the block of the atom alpha under test: the bound
+    variables linked to alpha's through shared atoms, and the atoms that
+    hold them (Fagin, Kolaitis & Popa, 2005).  That decides the same
+    question: a map of the whole formula into the remainder restricts to
+    the block, and a map of the block into the remainder, extended by the
+    identity, maps every other atom to itself, and none of them is alpha,
+    since every atom's bound variables lie in one block.  So the same
+    atoms are dropped.  The blocks are computed once from the input; as
+    atoms go, a block may fall apart into several, and a union of blocks
+    is still exact.  An atom with no bound variable maps to itself, so it
+    is never dropped and never tested.
+
+    One index of the current atoms is kept for the whole pass: a test
+    takes alpha out and puts it back if the test fails.  Each block's
+    source is compiled once, and a dropped atom is taken out of it.
+    ``budget`` caps each block search.
     """
     if phi.arity < 1:
         raise ArityMismatch("cores are computed for open formulas")
     atoms = set(phi.atoms)
     free = set(phi.free_vars)
     pins = {v: v for v in free}
-    source = _Source(atoms, pins)
+    # the index keeps the input's terms as its domain, a superset: a term
+    # the block holds needs a current atom holding it all the same, and the
+    # holding check below leaves every free variable in an atom but alpha
+    target = _Target(atoms)
+    source_of: dict[Atom, _Source] = {}
+    for block in _blocks(atoms, free):
+        source = _Source(block, pins)
+        for a in block:
+            source_of[a] = source
     # atoms holding each free variable; the last one of a variable stays
     holding = Counter(t for a in atoms for t in set(a.args) if t in free)
-    for alpha in sorted(phi.atoms, key=Atom.key):
-        if len(atoms) == 1:
-            break
+    for alpha in sorted(source_of, key=Atom.key):
         if any(holding[t] == 1 for t in set(alpha.args) if t in free):
             continue
-        candidate = atoms - {alpha}
-        if _run(source, _Target(candidate), pins, budget) is not None:
-            atoms = candidate
-            source = _Source(atoms, pins)
-            holding.subtract(t for t in set(alpha.args) if t in free)
+        target.discard(alpha)
+        if _run(source_of[alpha], target, pins, budget) is None:
+            target.add(alpha)
+            continue
+        atoms.discard(alpha)
+        source_of[alpha].drop(alpha)
+        holding.subtract(t for t in set(alpha.args) if t in free)
     out = Formula(phi.free_vars, atoms)
     return canonical_rename(out) if rename else out
 

@@ -111,7 +111,7 @@ def _check_arities(atoms: Iterable[Atom]) -> dict[str, int]:
 class Dataset:
     """A finite nonempty set of ground atoms closed under ``top``."""
 
-    __slots__ = ("atoms", "domain", "omega", "_by_pred", "_by_subject")
+    __slots__ = ("atoms", "domain", "omega", "_by_pred", "_by_subject", "hom_index")
 
     def __init__(self, atoms: Iterable[Atom]):
         atomset = frozenset(atoms)
@@ -132,6 +132,9 @@ class Dataset:
         self.omega = max(a.arity for a in atomset)
         self._by_pred: dict[str, frozenset[Atom]] | None = None
         self._by_subject: dict[str, tuple[Atom, ...]] | None = None
+        # the homomorphism kernel's index of the whole dataset, built on
+        # first use by ``homs._dataset_target``
+        self.hom_index = None
 
     def by_pred(self) -> dict[str, frozenset[Atom]]:
         if self._by_pred is None:
@@ -334,7 +337,7 @@ class SelectorSpec:
             raise ParseError("custom selector needs a callable")
         self.strategy = strategy
         self.radius = radius
-        self.table = dict(table) if table else None
+        self.table = dict(table) if table is not None else None
         self.fn = fn
         self.fallback = fallback
 
@@ -422,12 +425,7 @@ class SelectiveKB:
         cached = self._cache.get(tau)
         if cached is not None:
             return cached
-        outside = [c for c in tau if c not in self.dataset.domain]
-        if outside:
-            raise TupleOutsideDomain(
-                f"tuple constants outside the dataset domain: {sorted(set(outside))}",
-                constants=sorted(set(outside)),
-            )
+        self.check_domain(tau)
         picked = self.selector.select(self.dataset, tau)
         if not picked <= self.dataset.atoms:
             raise SelectorViolation("selector returned atoms outside the dataset")
@@ -439,6 +437,16 @@ class SelectiveKB:
             raise SelectorViolation("summary must mention every constant of the tuple")
         self._cache[tau] = summary
         return summary
+
+    def check_domain(self, tau: ConstTuple) -> None:
+        """Raise ``TupleOutsideDomain`` unless every constant of the tuple
+        is in the dataset."""
+        outside = [c for c in tau if c not in self.dataset.domain]
+        if outside:
+            raise TupleOutsideDomain(
+                f"tuple constants outside the dataset domain: {sorted(set(outside))}",
+                constants=sorted(set(outside)),
+            )
 
 
 def summarize(kb: SelectiveKB, tau: ConstTuple) -> Dataset:

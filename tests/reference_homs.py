@@ -1,19 +1,28 @@
-"""The recursive, scan-based homomorphism kernel that ``nexus.homs`` used
-before its indexed, iterative rewrite, kept verbatim as a test-only
-reference.  The differential tests require the current kernel to return
-the same first solution, and to run out of budget at the same node, on
-every input.
+"""Test-only references for the homomorphism layer, each kept verbatim
+from the code it was replaced by:
 
-Its search depth equals the number of source variables, so callers keep
-the inputs small enough for the default recursion limit.
+* the recursive, scan-based kernel that ``nexus.homs`` used before its
+  indexed, iterative rewrite.  The differential tests require the current
+  kernel to return the same first solution, and to run out of budget at
+  the same node, on every input.  Its search depth equals the number of
+  source variables, so callers keep the inputs small enough for the
+  default recursion limit;
+* ``core_of_formula`` as it was before block-wise cores: every test
+  searches the whole formula, into a fresh index of all atoms but the one
+  tested;
+* ``membership_test`` as it was before the dataset filter: every tuple's
+  summary is selected and indexed.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections import Counter
+from collections.abc import Callable, Iterable
 
-from nexus.homs import DEFAULT_BUDGET, _Budget
-from nexus.kb import Atom, Var, is_var, term_key
+from nexus.errors import ArityMismatch
+from nexus.formulas import Formula, canonical_rename
+from nexus.homs import DEFAULT_BUDGET, _Budget, _run, _Source, _Target
+from nexus.kb import Atom, ConstTuple, SelectiveKB, Var, is_var, term_key
 
 
 def _target_index(target_atoms: Iterable[Atom]):
@@ -170,3 +179,59 @@ def _search(
     if backtrack(domains):
         return dict(assignment)
     return None
+
+
+def core_of_formula(
+    phi: Formula, budget: int | None = None, rename: bool = True
+) -> Formula:
+    """The minimal hom-equivalent sub-formula, canonically renamed.
+
+    One pass over the atoms in sorted order: drop an atom whenever the
+    current formula still maps into the remainder (the remainder always
+    maps back, being a subset).  A single pass suffices because every
+    intermediate formula stays equivalent to the input.  With
+    ``rename=False`` the literal sub-formula is returned instead of its
+    canonically renamed presentation.
+    """
+    if phi.arity < 1:
+        raise ArityMismatch("cores are computed for open formulas")
+    atoms = set(phi.atoms)
+    free = set(phi.free_vars)
+    pins = {v: v for v in free}
+    source = _Source(atoms, pins)
+    # atoms holding each free variable; the last one of a variable stays
+    holding = Counter(t for a in atoms for t in set(a.args) if t in free)
+    for alpha in sorted(phi.atoms, key=Atom.key):
+        if len(atoms) == 1:
+            break
+        if any(holding[t] == 1 for t in set(alpha.args) if t in free):
+            continue
+        candidate = atoms - {alpha}
+        if _run(source, _Target(candidate), pins, budget) is not None:
+            atoms = candidate
+            source = _Source(atoms, pins)
+            holding.subtract(t for t in set(alpha.args) if t in free)
+    out = Formula(phi.free_vars, atoms)
+    return canonical_rename(out) if rename else out
+
+
+def membership_test(
+    phi: Formula, kb: SelectiveKB, budget: int | None = None
+) -> Callable[[ConstTuple], bool]:
+    """Compile phi once; the returned function decides, for one tuple, what
+    ``tuple_membership`` decides: one pinned hom search into its summary."""
+    source = _Source(phi.atoms, phi.free_vars)
+    free_vars, arity = phi.free_vars, phi.arity
+
+    def is_instance(tau: ConstTuple) -> bool:
+        if len(tau) != arity:
+            raise ArityMismatch(f"tuple arity {len(tau)} != formula arity {arity}")
+        pins: dict = {}
+        for v, c in zip(free_vars, tau):
+            if pins.get(v, c) != c:
+                return False
+            pins[v] = c
+        summary = kb.summary(tau)
+        return _run(source, _Target(summary.atoms, summary.domain), pins, budget) is not None
+
+    return is_instance

@@ -5,10 +5,14 @@ each class's tuples in space order, and print identical JSON and DOT."""
 
 import itertools
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import reference_expansion
 from nexus import expansion
+from nexus.characterize import _can_from_tuples
+from nexus.errors import BudgetExceeded
+from nexus.homs import core_of_formula
 from nexus.kb import (
     SelectiveKB, SelectorSpec, atom, close_under_top, duplicate_columns, validate_unit,
 )
@@ -133,6 +137,25 @@ def test_matches_reference_on_random_skbs(seed, selector, arity, data):
     tuples = data.draw(st.lists(row, min_size=1, max_size=size, unique=True))
     assume(duplicate_columns(tuples, arity) is None)  # units must be proper
     assert_same_graph(validate_unit(tuples, kb.dataset), kb)
+
+
+@pytest.mark.xfail(raises=BudgetExceeded, strict=True,
+                   reason="heavy-tailed core search; needs arc consistency (AC-3/MAC)")
+def test_heavy_tailed_class_core_within_a_small_budget():
+    """A class can that ``test_matches_reference_on_random_skbs`` can draw:
+    seed 10000 under sigma0, the unit {(e3,e4),(e4,e2),(e2,e3)} plus the
+    tuple (e1,e1), 814 atoms over 126 variables in one block.  Each block
+    search before the hard one takes at most about 500 nodes; the hard one
+    exceeds the default 10M, so ``build_expansion_graph`` raises
+    ``BudgetExceeded`` on this unit."""
+    kb = random_skb(RandomSkbConfig(
+        max_constants=4, predicates=(("isa", 2), ("p", 2)), atom_density=0.2,
+        selector="sigma0", seed=10_000,
+    ))
+    tuples = sorted({("e3", "e4"), ("e4", "e2"), ("e2", "e3"), ("e1", "e1")})
+    can = _can_from_tuples(tuples, kb)
+    assert (len(can.atoms), len(can.vars)) == (814, 126)
+    core_of_formula(can, budget=1_000)
 
 
 def test_matches_reference_on_seeded_corpus():

@@ -222,6 +222,11 @@ def test_summary_outside_domain(parks_kb):
         parks_kb.summary(("Narnia",))
 
 
+def test_empty_table_falls_back(parks_dataset):
+    kb = SelectiveKB(parks_dataset, SelectorSpec.from_table({}))
+    assert kb.summary(("Epcot",)) == parks_dataset
+
+
 def test_neighborhood_selector(parks_dataset):
     kb1 = SelectiveKB(parks_dataset, SelectorSpec.neighborhood(1))
     s1 = kb1.summary(("Florida",))
