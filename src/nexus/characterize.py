@@ -151,9 +151,7 @@ def _reachable_product(
     return atoms
 
 
-def _can_from_tuples(
-    tuples: Sequence[ConstTuple], kb: SelectiveKB, stream: bool = False
-) -> Formula:
+def _can_from_tuples(tuples: Sequence[ConstTuple], kb: SelectiveKB) -> Formula:
     """The product construction for an explicitly ordered tuple sequence.
 
     Only the part of the product connected to the free product constants
@@ -170,7 +168,6 @@ def _can_from_tuples(
     to one atom, and the product atoms linking it to a free product
     constant assemble to atoms linking it, term by term, to a free
     variable: the nearly-connected part would keep everything.
-    ``stream`` is accepted and ignored.
     """
     summaries = [kb.summary(t) for t in tuples]
     frees = [pc.parts for pc in product_tuples(tuples)]
@@ -206,23 +203,20 @@ def _can_from_tuples(
     return canonical_rename(can)
 
 
-def build_can(unit: Unit, kb: SelectiveKB, stream: bool = False) -> Formula:
+def build_can(unit: Unit, kb: SelectiveKB) -> Formula:
     """The canonical characterization of a unit.
 
     The unit's tuples are ordered lexicographically before multiplying, so
-    repeated runs produce the same formula.  ``stream`` is accepted and
-    ignored: the product is always built by search from the free product
-    constants, never materialized whole.
+    repeated runs produce the same formula.  The product is built by
+    search from the free product constants, never materialized whole.
     """
-    return _can_from_tuples(unit.sorted_tuples(), kb, stream=stream)
+    return _can_from_tuples(unit.sorted_tuples(), kb)
 
 
-def build_core_char(
-    unit: Unit, kb: SelectiveKB, stream: bool = False, budget: int | None = None
-) -> Formula:
+def build_core_char(unit: Unit, kb: SelectiveKB, budget: int | None = None) -> Formula:
     """The core characterization: the canonical one with every removable
     atom dropped."""
-    return core_of_formula(build_can(unit, kb, stream=stream), budget)
+    return core_of_formula(build_can(unit, kb), budget)
 
 
 def can_size_bound(unit: Unit, kb: SelectiveKB) -> int:

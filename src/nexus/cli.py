@@ -112,16 +112,14 @@ def cmd_summarize(args) -> int:
 def cmd_can(args) -> int:
     kb = _load_kb(args)
     unit = _load_unit(args, kb)
-    _emit_formula(build_can(unit, kb, stream=args.stream), args)
+    _emit_formula(build_can(unit, kb), args)
     return YES
 
 
 def cmd_core(args) -> int:
     kb = _load_kb(args)
     unit = _load_unit(args, kb)
-    _emit_formula(
-        build_core_char(unit, kb, stream=args.stream, budget=args.budget), args
-    )
+    _emit_formula(build_core_char(unit, kb, budget=args.budget), args)
     return YES
 
 
@@ -149,9 +147,7 @@ def _cmd_compare(args, wanted: str) -> int:
 def cmd_eg(args) -> int:
     kb = _load_kb(args)
     unit = _load_unit(args, kb)
-    graph = build_expansion_graph(
-        unit, kb, tuple_cap=args.cap, budget=args.budget, threads=args.threads
-    )
+    graph = build_expansion_graph(unit, kb, tuple_cap=args.cap, budget=args.budget)
     del kb  # its summary cache need not outlive the graph into the exports
     if args.dot:
         Path(args.dot).write_text(graph.to_dot(), encoding="utf-8")

@@ -17,8 +17,6 @@ from .characterize import _can_from_tuples, build_can
 from .errors import MixedArity, OverlapWithUnit, TupleSpaceTooLarge
 from .formulas import Formula, to_text
 from .homs import (
-    FormulaClass,
-    canonical_class,
     core_of_formula,
     equivalent,
     instances,
@@ -50,13 +48,10 @@ def ess_member(
     return tuple_membership(build_can(unit, kb), kb, tuple(tau), budget)
 
 
-def ess_set(
-    unit: Unit, kb: SelectiveKB, budget: int | None = None, threads: int = 1
-) -> set[ConstTuple]:
+def ess_set(unit: Unit, kb: SelectiveKB, budget: int | None = None) -> set[ConstTuple]:
     """The smallest definable superset of the unit: the instance set of
-    its canonical characterization.  ``threads`` is accepted and ignored,
-    as in ``instances``."""
-    return instances(build_can(unit, kb), kb, budget, threads)
+    its canonical characterization."""
+    return instances(build_can(unit, kb), kb, budget)
 
 
 def _extended(unit: Unit, kb: SelectiveKB, tau: ConstTuple) -> Unit:
@@ -139,10 +134,6 @@ class ExpansionNode:
     instance_set: frozenset[ConstTuple]
     direct: frozenset[ConstTuple]
 
-    @property
-    def formula_class(self) -> FormulaClass:
-        return FormulaClass(self.core)
-
 
 @dataclass(frozen=True)
 class ExpansionGraph:
@@ -158,9 +149,6 @@ class ExpansionGraph:
 
     def sorted_arcs(self) -> list[tuple[int, int]]:
         return sorted(self.arcs)
-
-    def predecessors(self, j: int) -> list[int]:
-        return sorted(i for (i, jj) in self.arcs if jj == j)
 
     def to_json_dict(self) -> dict:
         return {
@@ -272,7 +260,6 @@ def build_expansion_graph(
     kb: SelectiveKB,
     tuple_cap: int | None = 100_000,
     budget: int | None = None,
-    threads: int = 1,
 ) -> ExpansionGraph:
     """Classify every tuple over the dataset domain against the unit.
 
@@ -288,8 +275,9 @@ def build_expansion_graph(
     the cover relation of the hom-order on class cores, tested only between
     classes whose instance sets are nested (hom-order implies inclusion);
     direct instances follow from subtracting each node's arc predecessors;
-    and ``_check_invariants`` recomputes ess(U) on its own.  ``threads`` is
-    accepted and ignored, as in ``instances``.
+    and ``_check_invariants`` recomputes ess(U) on its own.  The unit's own
+    class, the source, is the one whose fingerprint is ess(U): a tuple of
+    the unit extends it to itself.
     """
     n = unit.arity
     consts = sorted(kb.dataset.domain)
@@ -338,13 +326,7 @@ def build_expansion_graph(
         covered = set().union(*(classes[i][0] for i in preds)) if preds else set()
         direct.append(frozenset(classes[j][0] - covered))
 
-    source_class = canonical_class(unit_can, budget)
-    source_candidates = [
-        i for i in range(k) if FormulaClass(cores[i]) == source_class
-    ]
-    if len(source_candidates) != 1:
-        raise AssertionError("the unit's own class must appear once")
-    source = source_candidates[0]
+    source = [fingerprint for fingerprint, _can in classes].index(closures.base)
 
     graph = ExpansionGraph(
         nodes=tuple(

@@ -23,7 +23,7 @@ DISCONNECTED = "disconnected"
 class Formula:
     """An open conjunctive formula with an ordered free-variable head."""
 
-    __slots__ = ("free_vars", "atoms", "_key_cache")
+    __slots__ = ("free_vars", "atoms")
 
     def __init__(self, free_vars: Iterable[Var], atoms: Iterable[Atom]):
         self.free_vars = tuple(free_vars)
@@ -36,7 +36,6 @@ class Formula:
                 raise ParseError(f"head entry {v!r} is not a variable")
             if v not in occurring:
                 raise ParseError(f"free variable {v.name!r} occurs in no atom")
-        self._key_cache = None
 
     @property
     def arity(self) -> int:
@@ -400,7 +399,3 @@ def parse_formula(text: str) -> Formula:
         raise ParseError("a formula needs at least one atom")
     return Formula([Var(n) for n in head_names], atoms)
 
-
-def sort_key(phi: Formula):
-    """Deterministic order over formulas (by printed text)."""
-    return to_text(phi)

@@ -30,8 +30,8 @@ Each node is cheap:
   search keeps its assignment in a list, its atoms sorted, and the
   variables' order and atoms fixed.  Sweeps over many tuples
   (``membership_test``, which ``instances`` and ``iter_instances`` use,
-  and ``evaluate``) pay for it once.  The core compiles each block once
-  and takes each dropped atom out of it.
+  and ``evaluate``) pay for it once.  The core compiles each block once,
+  from its input, and never edits it.
 * A sweep rejects a tuple before selecting or indexing its summary when
   some free variable's value is one that no atom holding it allows in the
   whole dataset.  Summaries are sub-datasets, so such a tuple has no
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, insort
-from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 
@@ -107,12 +106,11 @@ class _Source:
     variables only restricts each of them to a column of the target, so
     the root pass intersects columns once per distinct set of them
     (``by_columns``) and asks the index only for the other atoms
-    (``fixed_atoms``).  ``columns`` counts, per slot, the atoms that put it
-    in each column, so that ``drop`` can keep ``by_columns`` in step.
+    (``fixed_atoms``).
     """
 
     __slots__ = ("terms", "slot", "consts", "template", "atoms", "variables",
-                 "by_var", "by_rank", "rank", "fixed_atoms", "columns", "by_columns")
+                 "by_var", "by_rank", "rank", "fixed_atoms", "by_columns")
 
     def __init__(self, atoms: Iterable[Atom], pinned: Iterable = ()):
         pinned = set(pinned)
@@ -121,7 +119,7 @@ class _Source:
         self.atoms = []
         by_var: dict[int, list] = {}
         self.fixed_atoms = []
-        columns: dict[int, dict] = {}
+        columns: dict[int, set] = {}
         for a in sorted(set(atoms), key=Atom.key):
             slots = tuple(slot.setdefault(t, len(slot)) for t in a.args)
             compiled = ((a.pred, len(slots)), slots, len(set(slots)) < len(slots))
@@ -130,12 +128,7 @@ class _Source:
                 self.fixed_atoms.append(compiled)
             else:
                 for pos, s in enumerate(slots):
-                    col = (compiled[0], pos)
-                    cols = columns.get(s)
-                    if cols is None:
-                        columns[s] = {col: 1}
-                    else:
-                        cols[col] = cols.get(col, 0) + 1
+                    columns.setdefault(s, set()).add((compiled[0], pos))
             for t, s in zip(a.args, slots):
                 if not is_var(t):
                     self.consts[t] = t
@@ -152,41 +145,9 @@ class _Source:
         self.rank = [0] * len(slot)
         for i, s in enumerate(self.by_rank):
             self.rank[s] = i
-        self.columns = columns
         self.by_columns: dict[tuple, list[int]] = {}
         for s, cols in columns.items():
             self.by_columns.setdefault(tuple(sorted(cols)), []).append(s)
-
-    def drop(self, a: Atom):
-        """Forget one compiled atom.  The searches that follow run as if it
-        had never been compiled: the terms keep their slots and ranks, and
-        a constant it alone held stays in ``consts``."""
-        slots = tuple(self.slot[t] for t in a.args)
-        compiled = ((a.pred, len(slots)), slots, len(set(slots)) < len(slots))
-        self.atoms.remove(compiled)
-        if compiled in self.fixed_atoms:
-            self.fixed_atoms.remove(compiled)
-        else:
-            for pos, s in enumerate(slots):
-                cols, col = self.columns[s], (compiled[0], pos)
-                cols[col] -= 1
-                if cols[col]:
-                    continue
-                group_key = tuple(sorted(cols))
-                group = self.by_columns[group_key]
-                group.remove(s)
-                if not group:
-                    del self.by_columns[group_key]
-                del cols[col]
-                if cols:
-                    self.by_columns.setdefault(tuple(sorted(cols)), []).append(s)
-        for s in set(slots):
-            held = self.by_var[s]
-            if held is not None:
-                held.remove(compiled)
-                if not held:
-                    self.by_var[s] = None
-                    self.variables.remove(s)
 
     def image_of(self, pins: dict) -> list:
         image = self.template.copy()
@@ -664,14 +625,9 @@ def instances(
     phi: Formula,
     kb: SelectiveKB,
     budget: int | None = None,
-    threads: int = 1,
 ) -> set[ConstTuple]:
     """All tuples over the dataset domain that the formula matches within
-    their own summaries.  Always a subset of evaluate(phi, kb.dataset).
-
-    ``threads`` is accepted and ignored: the searches are pure Python, and
-    running them in threads was measured slower under the interpreter lock.
-    """
+    their own summaries.  Always a subset of evaluate(phi, kb.dataset)."""
     if phi.arity < 1:
         raise ArityMismatch("instance sets need an open formula")
     space = itertools.product(sorted(kb.dataset.domain), repeat=phi.arity)
@@ -731,16 +687,25 @@ def core_of_formula(
     question: a map of the whole formula into the remainder restricts to
     the block, and a map of the block into the remainder, extended by the
     identity, maps every other atom to itself, and none of them is alpha,
-    since every atom's bound variables lie in one block.  So the same
-    atoms are dropped.  The blocks are computed once from the input; as
-    atoms go, a block may fall apart into several, and a union of blocks
-    is still exact.  An atom with no bound variable maps to itself, so it
-    is never dropped and never tested.
+    since every atom's bound variables lie in one block.  An atom with no
+    bound variable maps to itself, so it is never dropped and never tested.
+
+    The blocks, and the source compiled for each, are those of the input,
+    and dropped atoms stay in them.  The answers are still exact.  Let
+    phi' be the current formula, B a block as compiled, B' = B & phi' and
+    beta the atom under test.  A map of B into phi' - beta restricts to
+    B'.  Conversely, the maps found by the tests answered "yes" so far,
+    each extended by the identity, compose to a map r of the input into
+    phi' that fixes the free variables, a retraction witness in the sense
+    of Gottlob & Nash (2008); a map g of B' into phi' - beta, extended by
+    the identity to phi', maps phi' into phi' - beta, so g after r maps B
+    into it.  As atoms go, a block
+    of the input may fall apart into several blocks of phi'; a union of
+    blocks is still exact.  So the same atoms are dropped.
 
     One index of the current atoms is kept for the whole pass: a test
-    takes alpha out and puts it back if the test fails.  Each block's
-    source is compiled once, and a dropped atom is taken out of it.
-    ``budget`` caps each block search.
+    takes alpha out and puts it back if the test fails.  ``budget`` caps
+    each block search.
     """
     if phi.arity < 1:
         raise ArityMismatch("cores are computed for open formulas")
@@ -748,26 +713,19 @@ def core_of_formula(
     free = set(phi.free_vars)
     pins = {v: v for v in free}
     # the index keeps the input's terms as its domain, a superset: a term
-    # the block holds needs a current atom holding it all the same, and the
-    # holding check below leaves every free variable in an atom but alpha
+    # the block holds needs a current atom holding it all the same
     target = _Target(atoms)
     source_of: dict[Atom, _Source] = {}
     for block in _blocks(atoms, free):
         source = _Source(block, pins)
         for a in block:
             source_of[a] = source
-    # atoms holding each free variable; the last one of a variable stays
-    holding = Counter(t for a in atoms for t in set(a.args) if t in free)
     for alpha in sorted(source_of, key=Atom.key):
-        if any(holding[t] == 1 for t in set(alpha.args) if t in free):
-            continue
         target.discard(alpha)
         if _run(source_of[alpha], target, pins, budget) is None:
             target.add(alpha)
-            continue
-        atoms.discard(alpha)
-        source_of[alpha].drop(alpha)
-        holding.subtract(t for t in set(alpha.args) if t in free)
+        else:
+            atoms.discard(alpha)
     out = Formula(phi.free_vars, atoms)
     return canonical_rename(out) if rename else out
 

@@ -106,13 +106,6 @@ def test_build_can_mirror(mirror_kb, mirror_unit):
     assert is_isomorphic(can, expected)
 
 
-def test_build_can_stream_identical(mirror_kb, mirror_unit, parks_kb, parks_unit):
-    assert build_can(mirror_unit, mirror_kb, stream=True) == build_can(
-        mirror_unit, mirror_kb
-    )
-    assert build_can(parks_unit, parks_kb, stream=True) == build_can(parks_unit, parks_kb)
-
-
 def test_build_can_trivial_dataset():
     d = close_under_top([atom("top", "1")])
     kb = SelectiveKB(d, SelectorSpec.full())

@@ -62,6 +62,10 @@ def assert_same_core(phi, budget=None):
 # two atoms putting one variable in the same column, one of them dropped
 @example(parse_formula("x1 <- p(?b0,?b0), p(?b0,?b1), p(?b2,?b1), q(x1)"))
 @example(parse_formula("x1 <- p(?b0,?b0), p(?b0,?b1), p(?b0,?b2), q(x1)"))
+# a dropped atom stays in its block's source, the only holder of ?z (?w in
+# the second) when a later test of that block runs
+@example(parse_formula("x <- p(x,?y), q(?y,?w), q(?y,?z), r(?w)"))
+@example(parse_formula("x <- p(x,?y), q(?y,?w), q(?y,?z), r(?w), r(?z)"))
 def test_same_core_as_reference(phi):
     assert_same_core(phi)
 
