@@ -11,7 +11,6 @@ generators live in oracles; the CLI in cli.
 __version__ = "0.1.0"
 
 from .characterize import (
-    ProductConstant,
     build_can,
     build_core_char,
     can_size_bound,
@@ -67,7 +66,6 @@ from .kb import (
     parse_facts,
     parse_tuple,
     parse_unit_tuples,
-    summarize,
     validate_unit,
 )
 

@@ -7,51 +7,25 @@ columns become the free variables, remaining product constants become
 either bound variables or (when all their parts coincide) the underlying
 base constant, atoms over all-parts-equal free positions are additionally
 cloned onto the base constant, and finally everything that does not
-connect to the free variables is discarded.  The pipeline generates only
-the product atoms connected to the free product constants, by a search
-from those constants over per-operand indexes.
+connect to the free variables is discarded.  A product constant is the
+tuple of its parts, one per operand.  The pipeline generates only the
+product atoms connected to the free product constants, by a search from
+those constants over per-operand indexes; ``product_datasets`` runs the
+same search from every product constant to materialize the whole product.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from collections.abc import Sequence
 
-from .errors import ArityConflict, MixedArity, ParseError
+from .errors import ArityConflict, MixedArity
 from .formulas import Formula, canonical_rename, nearly_connected_part
 from .homs import core_of_formula
 from .kb import Atom, ConstTuple, Dataset, SelectiveKB, Unit, Var
 
-PRODUCT_PREFIX = "d|"
 
-
-@dataclass(frozen=True, slots=True)
-class ProductConstant:
-    """A constant of a direct product, one part per multiplied operand."""
-
-    parts: tuple[str, ...]
-
-    @property
-    def name(self) -> str:
-        return PRODUCT_PREFIX + "|".join(self.parts)
-
-    @property
-    def is_gene(self) -> bool:
-        """All parts equal: the product constant shadows a base constant."""
-        return len(set(self.parts)) == 1
-
-    @classmethod
-    def from_name(cls, name: str) -> "ProductConstant":
-        if not name.startswith(PRODUCT_PREFIX):
-            raise ParseError(f"not a product constant name: {name!r}", name=name)
-        return cls(tuple(name[len(PRODUCT_PREFIX):].split("|")))
-
-    def __repr__(self) -> str:
-        return self.name
-
-
-def product_tuples(tuples: Sequence[ConstTuple]) -> list[ProductConstant]:
+def product_tuples(tuples: Sequence[ConstTuple]) -> list[tuple[str, ...]]:
     """Positionwise product: entry i collects the i-th constant of every
     tuple, in the given order."""
     if not tuples:
@@ -59,15 +33,17 @@ def product_tuples(tuples: Sequence[ConstTuple]) -> list[ProductConstant]:
     arities = {len(t) for t in tuples}
     if len(arities) != 1:
         raise MixedArity(f"mixed arities {sorted(arities)} in tuple product")
-    return [ProductConstant(tuple(t[i] for t in tuples)) for i in range(arities.pop())]
+    return list(zip(*tuples))
 
 
-def iter_product_atoms(datasets: Sequence[Dataset]) -> Iterator[Atom]:
-    """Atoms of the direct product, streamed in deterministic order.
+def product_datasets(datasets: Sequence[Dataset]) -> Dataset:
+    """The materialized direct product, each product constant named ``d|``
+    followed by its parts joined by ``|``; a dataset again because every
+    operand carries the top atoms of its whole domain.
 
-    One atom per same-predicate combination across all operands; argument
-    j of the result is the product constant of the operands' j-th
-    arguments.
+    It is the product reachable from every product constant, and that is
+    the whole product: each product atom of positive arity holds a product
+    constant, and a nullary one is a predicate nullary in every operand.
     """
     if not datasets:
         raise MixedArity("product of zero datasets")
@@ -79,23 +55,13 @@ def iter_product_atoms(datasets: Sequence[Dataset]) -> Iterator[Atom]:
                     f"predicate {a.pred!r} has conflicting arities across operands",
                     predicate=a.pred,
                 )
-    grouped = [ds.by_pred() for ds in datasets]
-    shared = sorted(set.intersection(*(set(g) for g in grouped)))
-    for pred in shared:
-        arity = arities[pred]
-        pools = [sorted(g[pred], key=Atom.key) for g in grouped]
-        for combo in itertools.product(*pools):
-            args = tuple(
-                ProductConstant(tuple(a.args[j] for a in combo)).name
-                for j in range(arity)
-            )
-            yield Atom(pred, args)
-
-
-def product_datasets(datasets: Sequence[Dataset]) -> Dataset:
-    """Materialized direct product; a dataset again because every operand
-    carries the top atoms of its whole domain."""
-    return Dataset(iter_product_atoms(datasets))
+    seeds = list(itertools.product(*(sorted(ds.domain) for ds in datasets)))
+    nullary = set.intersection(*({a.pred for a in ds.atoms if not a.args} for ds in datasets))
+    return Dataset(
+        [Atom(pred, tuple("d|" + "|".join(pc) for pc in args))
+         for pred, args in _reachable_product(datasets, seeds)]
+        + [Atom(pred, ()) for pred in nullary]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +136,7 @@ def _can_from_tuples(tuples: Sequence[ConstTuple], kb: SelectiveKB) -> Formula:
     variable: the nearly-connected part would keep everything.
     """
     summaries = [kb.summary(t) for t in tuples]
-    frees = [pc.parts for pc in product_tuples(tuples)]
+    frees = product_tuples(tuples)
     free_set = set(frees)
 
     # the assembled terms of each product constant: its variable or base

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import re
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 from .errors import ArityMismatch, ParseError
 from .kb import TOP, Atom, Var, check_name, is_var
@@ -95,12 +95,16 @@ def top_formula(n: int) -> Formula:
 # Connectivity
 
 
-def _atom_components(atoms: Iterable[Atom]) -> list[set[Atom]]:
-    """Connected components of the term-sharing graph over atoms."""
+def _atom_components(
+    atoms: Iterable[Atom], links: Callable[[object], bool] | None = None
+) -> list[set[Atom]]:
+    """Connected components of the term-sharing graph over atoms; with
+    ``links``, only the terms it accepts connect atoms."""
     atoms = list(atoms)
+    held = [a.args if links is None else [t for t in a.args if links(t)] for a in atoms]
     by_term: dict[object, list[int]] = {}
-    for i, a in enumerate(atoms):
-        for t in a.args:
+    for i, terms in enumerate(held):
+        for t in terms:
             by_term.setdefault(t, []).append(i)
     seen: set[int] = set()
     comps = []
@@ -112,7 +116,7 @@ def _atom_components(atoms: Iterable[Atom]) -> list[set[Atom]]:
         seen.add(start)
         while stack:
             i = stack.pop()
-            for t in atoms[i].args:
+            for t in held[i]:
                 for j in by_term[t]:
                     if j not in seen:
                         seen.add(j)

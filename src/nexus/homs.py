@@ -46,7 +46,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 
 from .errors import ArityMismatch, BudgetExceeded
-from .formulas import Formula, canonical_rename
+from .formulas import Formula, _atom_components, canonical_rename
 from .kb import Atom, ConstTuple, Dataset, SelectiveKB, Var, is_var, term_key
 
 DEFAULT_BUDGET = 10_000_000
@@ -293,7 +293,7 @@ class _Target:
 
 def _dataset_target(dataset: Dataset) -> _Target:
     """The index of a whole dataset, built on first use and kept on the
-    dataset, like ``Dataset.by_pred``."""
+    dataset as ``hom_index``."""
     if dataset.hom_index is None:
         dataset.hom_index = _Target(dataset.atoms, dataset.domain)
     return dataset.hom_index
@@ -638,35 +638,16 @@ def instances(
 # Cores and equivalence classes
 
 
-def _blocks(atoms: Iterable[Atom], free) -> list[list[Atom]]:
+def _blocks(atoms: Iterable[Atom], free) -> list[set[Atom]]:
     """The atoms of each block: bound variables linked by sharing an atom,
     with every atom that holds them.  Free variables and constants link
     nothing, and atoms with no bound variable are in no block."""
-    parent: dict = {}
 
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
+    def bound(t) -> bool:
+        return is_var(t) and t not in free
 
-    bound: dict[Atom, list] = {}
-    for a in atoms:
-        held = [t for t in a.args if is_var(t) and t not in free]
-        if not held:
-            continue
-        bound[a] = held
-        for v in held:
-            parent.setdefault(v, v)
-        root = find(held[0])
-        for v in held[1:]:
-            other = find(v)
-            if other != root:
-                parent[other] = root
-    blocks: dict = {}
-    for a, held in bound.items():
-        blocks.setdefault(find(held[0]), []).append(a)
-    return list(blocks.values())
+    return [comp for comp in _atom_components(atoms, bound)
+            if any(bound(t) for a in comp for t in a.args)]
 
 
 def core_of_formula(

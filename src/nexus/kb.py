@@ -111,7 +111,7 @@ def _check_arities(atoms: Iterable[Atom]) -> dict[str, int]:
 class Dataset:
     """A finite nonempty set of ground atoms closed under ``top``."""
 
-    __slots__ = ("atoms", "domain", "omega", "_by_pred", "_by_subject", "hom_index")
+    __slots__ = ("atoms", "domain", "omega", "_by_subject", "hom_index")
 
     def __init__(self, atoms: Iterable[Atom]):
         atomset = frozenset(atoms)
@@ -130,19 +130,10 @@ class Dataset:
         self.atoms = atomset
         self.domain = domain
         self.omega = max(a.arity for a in atomset)
-        self._by_pred: dict[str, frozenset[Atom]] | None = None
         self._by_subject: dict[str, tuple[Atom, ...]] | None = None
         # the homomorphism kernel's index of the whole dataset, built on
         # first use by ``homs._dataset_target``
         self.hom_index = None
-
-    def by_pred(self) -> dict[str, frozenset[Atom]]:
-        if self._by_pred is None:
-            grouped: dict[str, set[Atom]] = {}
-            for a in self.atoms:
-                grouped.setdefault(a.pred, set()).add(a)
-            self._by_pred = {p: frozenset(s) for p, s in grouped.items()}
-        return self._by_pred
 
     def by_subject(self) -> dict[str, tuple[Atom, ...]]:
         """Binary atoms grouped by their first argument (``top`` is unary,
@@ -447,11 +438,6 @@ class SelectiveKB:
                 f"tuple constants outside the dataset domain: {sorted(set(outside))}",
                 constants=sorted(set(outside)),
             )
-
-
-def summarize(kb: SelectiveKB, tau: ConstTuple) -> Dataset:
-    """Module-level alias for SelectiveKB.summary."""
-    return kb.summary(tau)
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,95 @@
 """The materialize-then-prune canonical characterization and the quadratic
 canonical renaming that ``nexus`` used before the reachable product and the
-heap-ordered renaming, kept verbatim as a test-only reference.  The
-differential tests require the current pipeline to return equal formulas
-with identical text on every input.
+heap-ordered renaming, kept verbatim as a test-only reference, together
+with the full-product generator and the ``d|`` product constant names it
+was built on.  The differential tests require the current pipeline to
+return equal formulas with identical text on every input.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass
 
-from nexus.characterize import (
-    PRODUCT_PREFIX,
-    ProductConstant,
-    iter_product_atoms,
-    product_datasets,
-    product_tuples,
-)
+from nexus.errors import ArityConflict, MixedArity, ParseError
 from nexus.formulas import Formula, nearly_connected_part
-from nexus.kb import Atom, ConstTuple, SelectiveKB, Var, is_var
+from nexus.kb import Atom, ConstTuple, Dataset, SelectiveKB, Var, is_var
+
+PRODUCT_PREFIX = "d|"
+
+
+@dataclass(frozen=True, slots=True)
+class ProductConstant:
+    """A constant of a direct product, one part per multiplied operand."""
+
+    parts: tuple[str, ...]
+
+    @property
+    def name(self) -> str:
+        return PRODUCT_PREFIX + "|".join(self.parts)
+
+    @property
+    def is_gene(self) -> bool:
+        """All parts equal: the product constant shadows a base constant."""
+        return len(set(self.parts)) == 1
+
+    @classmethod
+    def from_name(cls, name: str) -> "ProductConstant":
+        if not name.startswith(PRODUCT_PREFIX):
+            raise ParseError(f"not a product constant name: {name!r}", name=name)
+        return cls(tuple(name[len(PRODUCT_PREFIX):].split("|")))
+
+    def __repr__(self) -> str:
+        return self.name
+
+
+def product_tuples(tuples: Sequence[ConstTuple]) -> list[ProductConstant]:
+    """Positionwise product: entry i collects the i-th constant of every
+    tuple, in the given order."""
+    if not tuples:
+        raise MixedArity("product of zero tuples")
+    arities = {len(t) for t in tuples}
+    if len(arities) != 1:
+        raise MixedArity(f"mixed arities {sorted(arities)} in tuple product")
+    return [ProductConstant(tuple(t[i] for t in tuples)) for i in range(arities.pop())]
+
+
+def _by_pred(ds: Dataset) -> dict[str, set[Atom]]:
+    grouped: dict[str, set[Atom]] = {}
+    for a in ds.atoms:
+        grouped.setdefault(a.pred, set()).add(a)
+    return grouped
+
+
+def iter_product_atoms(datasets: Sequence[Dataset]) -> Iterator[Atom]:
+    """Atoms of the direct product, streamed in deterministic order.
+
+    One atom per same-predicate combination across all operands; argument
+    j of the result is the product constant of the operands' j-th
+    arguments.
+    """
+    if not datasets:
+        raise MixedArity("product of zero datasets")
+    arities: dict[str, int] = {}
+    for ds in datasets:
+        for a in ds.atoms:
+            if arities.setdefault(a.pred, a.arity) != a.arity:
+                raise ArityConflict(
+                    f"predicate {a.pred!r} has conflicting arities across operands",
+                    predicate=a.pred,
+                )
+    grouped = [_by_pred(ds) for ds in datasets]
+    shared = sorted(set.intersection(*(set(g) for g in grouped)))
+    for pred in shared:
+        arity = arities[pred]
+        pools = [sorted(g[pred], key=Atom.key) for g in grouped]
+        for combo in itertools.product(*pools):
+            args = tuple(
+                ProductConstant(tuple(a.args[j] for a in combo)).name
+                for j in range(arity)
+            )
+            yield Atom(pred, args)
 
 
 def canonical_rename(phi: Formula) -> Formula:
@@ -66,18 +137,12 @@ def canonical_rename(phi: Formula) -> Formula:
     return phi.rename(mapping)
 
 
-def _can_from_tuples(
-    tuples: Sequence[ConstTuple], kb: SelectiveKB, stream: bool = False
-) -> Formula:
+def _can_from_tuples(tuples: Sequence[ConstTuple], kb: SelectiveKB) -> Formula:
     """The product construction for an explicitly ordered tuple sequence."""
     summaries = [kb.summary(t) for t in tuples]
     frees = product_tuples(tuples)
     free_names = {pc.name for pc in frees}
-
-    if stream:
-        product_atoms: Iterable[Atom] = iter_product_atoms(summaries)
-    else:
-        product_atoms = product_datasets(summaries).sorted_atoms()
+    product_atoms = Dataset(iter_product_atoms(summaries)).sorted_atoms()
 
     var_of: dict[str, Var] = {}
 

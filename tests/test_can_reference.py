@@ -5,12 +5,10 @@ return equal formulas with identical text."""
 
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_can
-from nexus.characterize import ProductConstant, _can_from_tuples
-from nexus.errors import ParseError
+from nexus.characterize import _can_from_tuples
 from nexus.formulas import Formula, canonical_rename, to_text
 from nexus.kb import Atom, SelectiveKB, SelectorSpec, Var, close_under_top
 from nexus.oracles import RandomSkbConfig, random_skb
@@ -125,10 +123,3 @@ def test_canonical_rename_long_path_in_path_order():
     named = [Var("x1")] + [Var(f"y{i}") for i in range(1, n + 1)]
     assert out.free_vars == (Var("x1"),)
     assert out.atoms == {Atom("p", (named[i], named[i + 1])) for i in range(n)}
-
-
-def test_product_constant_from_name_rejects_other_names():
-    with pytest.raises(ParseError):
-        ProductConstant.from_name("a|b")
-    with pytest.raises(ParseError):
-        ProductConstant.from_name("x|a|b")

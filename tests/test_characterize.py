@@ -2,19 +2,18 @@ import random
 
 import pytest
 
+import reference_can
 from nexus.characterize import (
-    ProductConstant,
     build_can,
     build_core_char,
     can_size_bound,
-    iter_product_atoms,
     product_datasets,
     product_tuples,
 )
 from nexus.errors import ArityConflict, MixedArity
 from nexus.formulas import in_nxl, parse_formula, to_text
 from nexus.homs import canonical_class, equivalent, instances, is_isomorphic, maps_to
-from nexus.kb import SelectiveKB, SelectorSpec, atom, close_under_top, validate_unit
+from nexus.kb import Atom, Dataset, SelectiveKB, SelectorSpec, atom, close_under_top, validate_unit
 from nexus.oracles import (
     RandomSkbConfig,
     enumerate_nxl_formulas,
@@ -25,28 +24,21 @@ from nexus.oracles import (
 
 def test_product_tuples_three_rows():
     out = product_tuples([("1", "2"), ("3", "4"), ("5", "6")])
-    assert [pc.name for pc in out] == ["d|1|3|5", "d|2|4|6"]
+    assert out == [("1", "3", "5"), ("2", "4", "6")]
 
 
 def test_product_tuples_single():
-    assert [pc.name for pc in product_tuples([("a", "b")])] == ["d|a", "d|b"]
+    assert product_tuples([("a", "b")]) == [("a",), ("b",)]
 
 
 def test_product_tuples_parks_unit(parks_unit):
     out = product_tuples(parks_unit.sorted_tuples())
-    assert [pc.name for pc in out] == ["d|Discovery_Cove|Epcot"]
+    assert out == [("Discovery_Cove", "Epcot")]
 
 
 def test_product_tuples_mixed_arity():
     with pytest.raises(MixedArity):
         product_tuples([("a",), ("b", "c")])
-
-
-def test_product_constant_roundtrip_and_gene():
-    pc = ProductConstant(("a", "b", "a"))
-    assert ProductConstant.from_name(pc.name) == pc
-    assert not pc.is_gene
-    assert ProductConstant(("a", "a")).is_gene
 
 
 def test_product_datasets_mirror(mirror_kb):
@@ -75,15 +67,36 @@ def test_product_contains_diagonal():
         k = rng.randint(2, 3)
         prod = product_datasets([kb.dataset] * k)
         for a in kb.dataset.atoms:
-            diag = tuple(ProductConstant((c,) * k).name for c in a.args)
+            diag = tuple("d|" + "|".join((c,) * k) for c in a.args)
             assert atom(a.pred, *diag) in prod
 
 
 def test_product_is_top_closed_and_streaming_agrees(parks_kb):
+    """The product reachable from every product constant is the whole
+    product that the full generator of ``reference_can`` streams."""
     s1 = parks_kb.summary(("Epcot",))
     s2 = parks_kb.summary(("Gardaland",))
     prod = product_datasets([s1, s2])  # Dataset constructor checks closure
-    assert set(iter_product_atoms([s1, s2])) == prod.atoms
+    assert set(reference_can.iter_product_atoms([s1, s2])) == prod.atoms
+    rng = random.Random(7)
+    for seed in range(60):
+        kb = random_skb(RandomSkbConfig(
+            max_constants=4,
+            predicates=(("isa", 2), ("p", 2), ("q", 1), ("s", 1)),
+            atom_density=0.25,
+            selector=("sigma0", "full", "neighborhood:1")[seed % 3],
+            seed=seed,
+        ))
+        consts = sorted(kb.dataset.domain)
+        arity = rng.randint(1, 2)
+        ops = [kb.summary(tuple(rng.choice(consts) for _ in range(arity)))
+               for _ in range(rng.randint(1, 3))]
+        assert product_datasets(ops) == Dataset(reference_can.iter_product_atoms(ops))
+    # a nullary atom holds no product constant; it is in the product when
+    # every operand holds its predicate
+    d1 = Dataset([Atom("z", ()), Atom("w", ()), atom("top", "a")])
+    d2 = Dataset([Atom("z", ()), atom("p", "b"), atom("top", "b")])
+    assert product_datasets([d1, d2]).atoms == {Atom("z", ()), atom("top", "d|a|b")}
 
 
 def test_product_arity_conflict():

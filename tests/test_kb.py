@@ -24,7 +24,6 @@ from nexus.kb import (
     parse_tuple,
     parse_unit_tuples,
     render_facts,
-    summarize,
     validate_unit,
 )
 from nexus.oracles import RandomSkbConfig, random_skb
@@ -206,7 +205,7 @@ def test_full_selector_returns_dataset(parks_kb):
 
 def test_summary_contract(parks_kb):
     for tau in [("Epcot",), ("Prater", "Italy"), ("US",)]:
-        s = summarize(parks_kb, tau)
+        s = parks_kb.summary(tau)
         assert s.atoms <= parks_kb.dataset.atoms
         assert set(tau) <= s.domain
         for c in s.domain:
