@@ -21,7 +21,6 @@ from .homs import (
     equivalent,
     instances,
     iter_instances,
-    maps_to,
     membership_test,
     tuple_membership,
 )
@@ -271,13 +270,21 @@ def build_expansion_graph(
     implies E(sigma) is a subset of E(tau), so one membership settles
     many (see ``_Closures``).  Still checked: every tuple's canonical
     characterization is built and confirmed hom-equivalent to its class
-    representative, the first tuple of the class in space order; arcs are
-    the cover relation of the hom-order on class cores, tested only between
-    classes whose instance sets are nested (hom-order implies inclusion);
-    direct instances follow from subtracting each node's arc predecessors;
-    and ``_check_invariants`` recomputes ess(U) on its own.  The unit's own
+    representative, the first tuple of the class in space order; direct
+    instances follow from subtracting each node's arc predecessors; and
+    ``_check_invariants`` recomputes ess(U) on its own.  The unit's own
     class, the source, is the one whose fingerprint is ess(U): a tuple of
     the unit extends it to itself.
+
+    Arcs are the cover relation of strict inclusion among fingerprints,
+    which is that of the hom-order on class cores (ten Cate & Dalmau, *The
+    product homomorphism problem and applications*, ICDT 2015).  If E_i is
+    within E_j, can_j maps into the summary of each tuple of U + tau_i,
+    pinned at it, so into their product pinned at its free constants; it
+    is nearly connected and sends constants to genes, so the image lies in
+    the reachable part, can_i.  A map can_j -> can_i in turn gives E_i
+    within E_j.  ``budget`` caps each classification, equivalence and core
+    search.
     """
     n = unit.arity
     consts = sorted(kb.dataset.domain)
@@ -305,19 +312,12 @@ def build_expansion_graph(
     cores = [core_of_formula(can, budget) for _fp, can in classes]
 
     k = len(cores)
-    reaches = [[False] * k for _ in range(k)]
-    for i, j in itertools.permutations(range(k), 2):
-        if classes[i][0] < classes[j][0]:
-            reaches[i][j] = maps_to(cores[j], cores[i], budget)
+    fingerprints = [fingerprint for fingerprint, _can in classes]
     arcs = {
         (i, j)
-        for i in range(k)
-        for j in range(k)
-        if i != j
-        and reaches[i][j]
-        and not any(
-            h != i and h != j and reaches[i][h] and reaches[h][j] for h in range(k)
-        )
+        for i, j in itertools.permutations(range(k), 2)
+        if fingerprints[i] < fingerprints[j]
+        and not any(fingerprints[i] < e < fingerprints[j] for e in fingerprints)
     }
 
     direct: list[frozenset] = []
@@ -326,7 +326,7 @@ def build_expansion_graph(
         covered = set().union(*(classes[i][0] for i in preds)) if preds else set()
         direct.append(frozenset(classes[j][0] - covered))
 
-    source = [fingerprint for fingerprint, _can in classes].index(closures.base)
+    source = fingerprints.index(closures.base)
 
     graph = ExpansionGraph(
         nodes=tuple(

@@ -400,8 +400,7 @@ class SelectorSpec:
 class SelectiveKB:
     """A dataset paired with a summary selector.
 
-    Immutable except for the summary cache; concurrent cache fills are
-    benign because every writer computes the same value.
+    Immutable except for the summary cache.
     """
 
     __slots__ = ("dataset", "selector", "_cache")

@@ -1,7 +1,9 @@
 """Differential tests: the expansion graph classified by closure inference
 against the builder that swept every tuple's full instance set
 (``reference_expansion``).  Both must group the tuples identically, with
-each class's tuples in space order, and print identical JSON and DOT."""
+each class's tuples in space order, and print identical JSON and DOT.
+Also a property test of the theorem the builder's arcs rest on: strict
+fingerprint inclusion is the hom-order between class cans."""
 
 import itertools
 
@@ -12,11 +14,12 @@ import reference_expansion
 from nexus import expansion
 from nexus.characterize import _can_from_tuples
 from nexus.errors import BudgetExceeded
-from nexus.homs import core_of_formula
+from nexus.homs import core_of_formula, equivalent, instances, maps_to
 from nexus.kb import (
     SelectiveKB, SelectorSpec, atom, close_under_top, duplicate_columns, validate_unit,
 )
 from nexus.oracles import RandomSkbConfig, random_skb
+from test_membership_reference import make_kb
 
 
 def classified(unit, kb):
@@ -137,6 +140,34 @@ def test_matches_reference_on_random_skbs(seed, selector, arity, data):
     tuples = data.draw(st.lists(row, min_size=1, max_size=size, unique=True))
     assume(duplicate_columns(tuples, arity) is None)  # units must be proper
     assert_same_graph(validate_unit(tuples, kb.dataset), kb)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    selector=st.sampled_from(["sigma0", "full", "neighborhood:1", "component", "table"]),
+    arity=st.integers(1, 2),
+    data=st.data(),
+)
+def test_fingerprint_inclusion_is_the_hom_order(seed, selector, arity, data):
+    """The builder reads its arcs off the fingerprints: for the classes of
+    unit + tau, strict inclusion of instance sets holds exactly when the
+    more general class's can maps into the more specific one's, and equal
+    instance sets mean hom-equivalent cans.  Checked on the cans, which
+    the builder's cores are hom-equivalent to."""
+    kb = make_kb(seed, selector)
+    consts = sorted(kb.dataset.domain)
+    row = st.tuples(*[st.sampled_from(consts)] * arity)
+    tuples = data.draw(st.lists(row, min_size=1, max_size=2, unique=True))
+    assume(duplicate_columns(tuples, arity) is None)  # units must be proper
+    unit = validate_unit(tuples, kb.dataset)
+    classes: dict = {}  # fingerprint -> the can of its first tuple
+    for tau in itertools.product(consts, repeat=arity):
+        can = _can_from_tuples(sorted(unit.tuples | {tau}), kb)
+        rep = classes.setdefault(frozenset(instances(can, kb)), can)
+        assert equivalent(can, rep)
+    for (fp_i, can_i), (fp_j, can_j) in itertools.permutations(classes.items(), 2):
+        assert (fp_i < fp_j) == maps_to(can_j, can_i)
 
 
 @pytest.mark.xfail(raises=BudgetExceeded, strict=True,
