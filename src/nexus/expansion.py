@@ -4,7 +4,12 @@ a unit.
 
 All decision operations route through the canonical characterization
 rather than the core: the two are hom-equivalent, so their instance sets
-agree, and the canonical one is cheaper to build.
+agree, and the canonical one is cheaper to build.  Sweeps over many
+tuples (``is_definable``, ``ess_set`` and the ess(U) sweeps of the graph
+builder) search the folded can (``homs.fold_formula``), which drops its
+one-variable retractions in a few index lookups per variable; a single
+membership test (``ess_member``, the comparison gadgets, the graph's
+classification) searches the can as built.
 """
 
 from __future__ import annotations

@@ -36,10 +36,18 @@ Each node is cheap:
   some free variable's value is one that no atom holding it allows in the
   whole dataset.  Summaries are sub-datasets, so such a tuple has no
   homomorphism into its summary either.
+* A sweep (``iter_instances``, so ``instances``, and ``evaluate`` of an
+  open formula) searches the folded formula (``fold_formula``): the atoms
+  of every bound variable that one substitution maps onto other atoms are
+  dropped first.  The folded formula is hom-equivalent to the input, so
+  the answers are the same, and every tuple pays for fewer variables.  A
+  single test (``tuple_membership``, ``membership_test``) and the core
+  search the formula as given, since one search does not repay the fold.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from bisect import bisect_left, insort
 from collections.abc import Callable, Iterable, Iterator, Mapping
@@ -542,16 +550,118 @@ def is_isomorphic(phi1: Formula, phi2: Formula, budget: int | None = None) -> bo
     return _search(phi1.atoms, phi2.atoms, pins, budget, injective=True) is not None
 
 
+def fold_formula(phi: Formula) -> Formula:
+    """Drop one-variable retractions until none is left.
+
+    A bound variable v folds when some term w other than v makes the map
+    {v -> w}, the identity elsewhere, send every atom holding v onto an
+    atom of the formula; the atoms holding v are then dropped.  The
+    result is a subset of phi's atoms (the same ``Atom`` objects) with the
+    same free variables, and hom-equivalent to phi: the map sends phi into
+    the subset, and a subset maps into phi.  So it has the same output
+    over every dataset and the same instance set under every selector.
+    It also allows the same values to each free variable in
+    ``_free_domains``: a dropped atom's image holds the same free
+    variables at the same positions and is at least as constrained.  This
+    is the classical retraction step towards the core (Chandra & Merlin,
+    1977; Hell & Nesetril, 1992), limited to one variable at a time, so
+    it needs no search; the result may still be larger than the core.
+
+    Bound variables are tried in name order, each candidate w taken from
+    one atom of v through a (predicate, position, value) index and tried
+    in ``term_key`` order.  When v folds, the bound variables it shared
+    an atom with are tried again: dropping atoms only frees them.  Which
+    variables fold does not depend on the atom the candidates come from,
+    so the result is the same in every process.  Terms are numbered in
+    ``term_key`` order, and an atom is the tuple of its predicate and its
+    terms' numbers.
+    """
+    terms = sorted({t for a in phi.atoms for t in a.args}, key=term_key)
+    number = {t: i for i, t in enumerate(terms)}
+    free = {number[v] for v in phi.free_vars}
+    rows: dict[tuple, Atom] = {}  # numbered atom -> the input's atom
+    holding: dict[int, set[tuple]] = {}  # bound variable -> the atoms holding it
+    index: dict[tuple, set[tuple]] = {}  # (pred, arity, pos, term) -> atoms
+    for a in phi.atoms:
+        row = (a.pred, *[number[t] for t in a.args])
+        rows[row] = a
+        n = len(row)
+        for pos in range(1, n):
+            t = row[pos]
+            index.setdefault((a.pred, n, pos, t), set()).add(row)
+            if t not in free and is_var(terms[t]):
+                holding.setdefault(t, set()).add(row)
+    # term numbers of variables follow their names
+    queue = sorted(holding)
+    queued = set(queue)
+    while queue:
+        v = heapq.heappop(queue)
+        queued.discard(v)
+        held = holding[v]
+        if not _folds(v, held, rows, index):
+            continue
+        del holding[v]
+        for row in held:
+            del rows[row]
+            n = len(row)
+            for pos in range(1, n):
+                t = row[pos]
+                index[(row[0], n, pos, t)].discard(row)
+                if t in holding:  # v's own entry is gone
+                    holding[t].discard(row)
+                    if t not in queued:
+                        queued.add(t)
+                        heapq.heappush(queue, t)
+    if len(rows) == len(phi.atoms):
+        return phi
+    return Formula(phi.free_vars, rows.values())
+
+
+def _folds(v: int, held: set[tuple], rows: dict, index: dict) -> bool:
+    """Is there a w != v such that {v -> w} maps every atom of ``held``
+    (the numbered atoms holding v) onto one of ``rows``?  Candidates come
+    from the atom with the fewest index matches on a position without v,
+    or from every atom of its predicate when each position holds v."""
+    best = None
+    for row in held:
+        n = len(row)
+        for pos in range(1, n):
+            if row[pos] != v:
+                found = index.get((row[0], n, pos, row[pos]), ())
+                if best is None or len(found) < len(best[1]):
+                    best = (row, found)
+    if best is None:  # as top(v) or r(v,v)
+        row = next(iter(held))
+        found = [r for r in rows if r[0] == row[0] and len(r) == len(row)]
+    else:
+        row, found = best
+    at = row.index(v, 1)
+    candidates = {
+        r[at] for r in found
+        if all(rt == r[at] if t == v else rt == t for t, rt in zip(row, r))
+    }
+    candidates.discard(v)
+    return any(
+        all(tuple(w if t == v else t for t in r) in rows for r in held)
+        for w in sorted(candidates)
+    )
+
+
 def evaluate(phi: Formula, dataset: Dataset, budget: int | None = None):
     """The output of a formula over a dataset.
 
     Returns the set of tuples matched through the free variables, or a
     plain bool for arity-0 formulas.  A formula constant missing from
     the dataset is not an error; it simply produces an empty output.
+    An open formula is folded first (``fold_formula``): the output is
+    the same, and ``budget`` caps each search of the folded formula, so
+    node counts and the point where ``BudgetExceeded`` is raised differ
+    from a search of phi itself.
     """
     target = _dataset_target(dataset)
     if phi.arity == 0:
         return _run(_Source(phi.atoms), target, {}, budget) is not None
+    phi = fold_formula(phi)
     distinct = phi.distinct_free_vars()
     source = _Source(phi.atoms, distinct)
     allowed = _free_domains(source, target, distinct)
@@ -617,8 +727,14 @@ def iter_instances(
     budget: int | None = None,
 ) -> Iterator[ConstTuple]:
     """The candidates that are instances of phi, lazily and in the given
-    order; each is decided as ``tuple_membership`` decides it."""
-    return filter(membership_test(phi, kb, budget), candidates)
+    order; each is decided as ``tuple_membership`` decides it.
+
+    The sweep compiles ``fold_formula(phi)``, which has the same instances
+    and rules out the same tuples before their summaries are selected, so
+    the answers and the errors raised are unchanged.  ``budget`` caps each
+    search of the folded formula: node counts, and the point where
+    ``BudgetExceeded`` is raised, differ from searches of phi itself."""
+    return filter(membership_test(fold_formula(phi), kb, budget), candidates)
 
 
 def instances(
@@ -627,7 +743,9 @@ def instances(
     budget: int | None = None,
 ) -> set[ConstTuple]:
     """All tuples over the dataset domain that the formula matches within
-    their own summaries.  Always a subset of evaluate(phi, kb.dataset)."""
+    their own summaries.  Always a subset of evaluate(phi, kb.dataset).
+    A sweep of ``iter_instances``: it searches the folded formula, with
+    the same answers, and ``budget`` caps each of those searches."""
     if phi.arity < 1:
         raise ArityMismatch("instance sets need an open formula")
     space = itertools.product(sorted(kb.dataset.domain), repeat=phi.arity)
