@@ -36,13 +36,13 @@ Each node is cheap:
   some free variable's value is one that no atom holding it allows in the
   whole dataset.  Summaries are sub-datasets, so such a tuple has no
   homomorphism into its summary either.
-* A sweep (``iter_instances``, so ``instances``, and ``evaluate`` of an
-  open formula) searches the folded formula (``fold_formula``): the atoms
-  of every bound variable that one substitution maps onto other atoms are
-  dropped first.  The folded formula is hom-equivalent to the input, so
-  the answers are the same, and every tuple pays for fewer variables.  A
-  single test (``tuple_membership``, ``membership_test``) and the core
-  search the formula as given, since one search does not repay the fold.
+* A sweep (``iter_instances``, so ``instances``) searches the folded
+  formula (``fold_formula``): the atoms of every bound variable that one
+  substitution maps onto other atoms are dropped first.  The folded
+  formula is hom-equivalent to the input, so the answers are the same,
+  and every tuple pays for fewer variables.  A single test
+  (``tuple_membership``, ``membership_test``), ``evaluate`` and the core
+  search the formula as given.
 """
 
 from __future__ import annotations
@@ -653,15 +653,10 @@ def evaluate(phi: Formula, dataset: Dataset, budget: int | None = None):
     Returns the set of tuples matched through the free variables, or a
     plain bool for arity-0 formulas.  A formula constant missing from
     the dataset is not an error; it simply produces an empty output.
-    An open formula is folded first (``fold_formula``): the output is
-    the same, and ``budget`` caps each search of the folded formula, so
-    node counts and the point where ``BudgetExceeded`` is raised differ
-    from a search of phi itself.
     """
     target = _dataset_target(dataset)
     if phi.arity == 0:
         return _run(_Source(phi.atoms), target, {}, budget) is not None
-    phi = fold_formula(phi)
     distinct = phi.distinct_free_vars()
     source = _Source(phi.atoms, distinct)
     allowed = _free_domains(source, target, distinct)
