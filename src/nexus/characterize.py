@@ -134,6 +134,15 @@ def _can_from_tuples(tuples: Sequence[ConstTuple], kb: SelectiveKB) -> Formula:
     to one atom, and the product atoms linking it to a free product
     constant assemble to atoms linking it, term by term, to a free
     variable: the nearly-connected part would keep everything.
+
+    The can is returned as assembled, its variables named after their
+    product constants (``x|a|b`` free, ``y|a|b`` bound), not canonically
+    renamed: the decisions that search it answer the same whatever the
+    variables are called, and only printed formulas pay for the renaming
+    (``build_can``, the graph's class cores).  The kernel breaks ties by
+    variable name, so a search of this can explores a different tree than
+    one of its renamed presentation: its answer is the same, its node
+    count and the point where a budget runs out are not.
     """
     summaries = [kb.summary(t) for t in tuples]
     frees = product_tuples(tuples)
@@ -165,18 +174,21 @@ def _can_from_tuples(tuples: Sequence[ConstTuple], kb: SelectiveKB) -> Formula:
     head = [choices(pc)[0] for pc in frees]
     can = Formula(head, atoms)
     if any(len(set(pc)) == 1 for pc in frees):
-        can = nearly_connected_part(can)
-    return canonical_rename(can)
+        return nearly_connected_part(can)
+    return can
 
 
 def build_can(unit: Unit, kb: SelectiveKB) -> Formula:
-    """The canonical characterization of a unit.
+    """The canonical characterization of a unit, canonically renamed for
+    printing.
 
     The unit's tuples are ordered lexicographically before multiplying, so
     repeated runs produce the same formula.  The product is built by
     search from the free product constants, never materialized whole.
+    Decisions search the can as assembled (``_can_from_tuples``) instead:
+    the renaming changes no answer, only node counts and budget points.
     """
-    return _can_from_tuples(unit.sorted_tuples(), kb)
+    return canonical_rename(_can_from_tuples(unit.sorted_tuples(), kb))
 
 
 def build_core_char(unit: Unit, kb: SelectiveKB, budget: int | None = None) -> Formula:

@@ -4,12 +4,18 @@ a unit.
 
 All decision operations route through the canonical characterization
 rather than the core: the two are hom-equivalent, so their instance sets
-agree, and the canonical one is cheaper to build.  Sweeps over many
-tuples (``is_definable``, ``ess_set`` and the ess(U) sweeps of the graph
-builder) search the folded can (``homs.fold_formula``), which drops its
-one-variable retractions in a few index lookups per variable; a single
-membership test (``ess_member``, the comparison gadgets, the graph's
-classification) searches the can as built.
+agree, and the canonical one is cheaper to build.  They search it as
+assembled (``characterize._can_from_tuples``), its variables named after
+their product constants: a yes/no answer or a tuple set does not depend
+on what the variables are called.  Only printed formulas are canonically
+renamed: ``build_can``, ``build_core_char``, and each class representative
+of the expansion graph right before it is cored, which keeps the printed
+cores byte-identical.  Sweeps over many tuples (``is_definable``,
+``ess_set`` and the ess(U) sweeps of the graph builder) search the folded
+can (``homs.fold_formula``), which drops its one-variable retractions in a
+few index lookups per variable; a single membership test (``ess_member``,
+the comparison gadgets, the graph's classification) searches the can
+unfolded.
 """
 
 from __future__ import annotations
@@ -18,9 +24,9 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .characterize import _can_from_tuples, build_can
+from .characterize import _can_from_tuples
 from .errors import MixedArity, OverlapWithUnit, TupleSpaceTooLarge
-from .formulas import Formula, to_text
+from .formulas import Formula, canonical_rename, to_text
 from .homs import (
     core_of_formula,
     equivalent,
@@ -36,9 +42,11 @@ def is_definable(unit: Unit, kb: SelectiveKB, budget: int | None = None) -> bool
     """Does some explanation have exactly this unit as its instance set?
 
     Equivalently: no tuple outside the unit is an instance of its
-    canonical characterization.
+    canonical characterization, searched as assembled.  The answer is
+    that of the renamed ``build_can``; node counts and the point where
+    ``budget`` runs out differ, since the kernel breaks ties by name.
     """
-    can = build_can(unit, kb)
+    can = _can_from_tuples(unit.sorted_tuples(), kb)
     space = itertools.product(sorted(kb.dataset.domain), repeat=unit.arity)
     outside = (tau for tau in space if tau not in unit.tuples)
     return next(iter_instances(can, kb, outside, budget), None) is None
@@ -48,14 +56,21 @@ def ess_member(
     unit: Unit, kb: SelectiveKB, tau: ConstTuple, budget: int | None = None
 ) -> bool:
     """Is tau in the essential expansion: one pinned hom search of the
-    canonical characterization into tau's summary."""
-    return tuple_membership(build_can(unit, kb), kb, tuple(tau), budget)
+    canonical characterization, as assembled, into tau's summary.  The
+    answer is that of the renamed ``build_can``; node counts and the point
+    where ``budget`` runs out differ, since the kernel breaks ties by name.
+    """
+    can = _can_from_tuples(unit.sorted_tuples(), kb)
+    return tuple_membership(can, kb, tuple(tau), budget)
 
 
 def ess_set(unit: Unit, kb: SelectiveKB, budget: int | None = None) -> set[ConstTuple]:
     """The smallest definable superset of the unit: the instance set of
-    its canonical characterization."""
-    return instances(build_can(unit, kb), kb, budget)
+    its canonical characterization, swept as assembled.  The set is that
+    of the renamed ``build_can``; node counts and the point where
+    ``budget`` runs out differ, since the kernel breaks ties by name.
+    """
+    return instances(_can_from_tuples(unit.sorted_tuples(), kb), kb, budget)
 
 
 def _extended(unit: Unit, kb: SelectiveKB, tau: ConstTuple) -> Unit:
@@ -288,8 +303,11 @@ def build_expansion_graph(
     pinned at it, so into their product pinned at its free constants; it
     is nearly connected and sends constants to genes, so the image lies in
     the reachable part, can_i.  A map can_j -> can_i in turn gives E_i
-    within E_j.  ``budget`` caps each classification, equivalence and core
-    search.
+    within E_j.  Classification and equivalence search the cans as
+    assembled; each class representative is canonically renamed right
+    before it is cored, because the core's greedy order follows atom names:
+    so its printed core is that of ``build_core_char``.
+    ``budget`` caps each classification, equivalence and core search.
     """
     n = unit.arity
     consts = sorted(kb.dataset.domain)
@@ -314,7 +332,7 @@ def build_expansion_graph(
             )
     classes = sorted(reps.items(), key=lambda item: sorted(item[0]))
 
-    cores = [core_of_formula(can, budget) for _fp, can in classes]
+    cores = [core_of_formula(canonical_rename(can), budget) for _fp, can in classes]
 
     k = len(cores)
     fingerprints = [fingerprint for fingerprint, _can in classes]

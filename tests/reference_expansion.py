@@ -3,8 +3,10 @@ inference, kept verbatim as a test-only reference: every tuple's class
 fingerprint is the full ``instances()`` sweep of can(U + tau), and every
 ordered pair of classes is tested for the hom-order.  The only changes:
 the ignored ``threads`` parameter is gone, and the grouping loop also
-records each class's tuples in space order.  The differential tests require the current builder to group the
-tuples identically and to print identical JSON and DOT.
+records each class's tuples in space order, and each can is canonically
+renamed before it is cored, as ``_can_from_tuples`` once did itself.  The
+differential tests require the current builder to group the tuples
+identically and to print identical JSON and DOT.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import itertools
 from nexus.characterize import _can_from_tuples
 from nexus.errors import TupleSpaceTooLarge
 from nexus.expansion import ExpansionGraph, ExpansionNode, _check_invariants
-from nexus.formulas import Formula
+from nexus.formulas import Formula, canonical_rename
 from nexus.homs import (
     FormulaClass,
     canonical_class,
@@ -70,7 +72,7 @@ def build_expansion_graph(
             )
         classes.append((fingerprint, reps[0]))
 
-    cores = [core_of_formula(can, budget) for _fp, can in classes]
+    cores = [core_of_formula(canonical_rename(can), budget) for _fp, can in classes]
 
     k = len(cores)
     reaches = [[False] * k for _ in range(k)]
@@ -94,7 +96,7 @@ def build_expansion_graph(
         direct.append(frozenset(classes[j][0] - covered))
 
     source_class = canonical_class(
-        _can_from_tuples(unit.sorted_tuples(), kb), budget
+        canonical_rename(_can_from_tuples(unit.sorted_tuples(), kb)), budget
     )
     source_candidates = [
         i for i in range(k) if FormulaClass(cores[i]) == source_class

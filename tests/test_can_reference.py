@@ -1,7 +1,9 @@
 """Differential tests: the reachable-product canonical characterization
 and the heap-ordered renaming against the materialize-then-prune pipeline
 and the quadratic renaming they replaced (``reference_can``).  Both must
-return equal formulas with identical text."""
+return equal formulas with identical text; the engine's can is compared
+after the canonical renaming that ``build_can`` applies, since decisions
+search it as assembled."""
 
 import random
 
@@ -17,7 +19,7 @@ SELECTORS = ["full", "sigma0", "component", "neighborhood:1"]
 
 
 def assert_same_can(tuples, kb):
-    got = _can_from_tuples(tuples, kb)
+    got = canonical_rename(_can_from_tuples(tuples, kb))
     want = reference_can._can_from_tuples(tuples, kb)
     assert got == want
     assert to_text(got) == to_text(want)
