@@ -20,7 +20,7 @@ import itertools
 from collections.abc import Sequence
 
 from .errors import ArityConflict, MixedArity
-from .formulas import Formula, canonical_rename, nearly_connected_part
+from .formulas import Formula, canonical_rename
 from .homs import core_of_formula
 from .kb import Atom, ConstTuple, Dataset, SelectiveKB, Unit, Var
 
@@ -57,9 +57,10 @@ def product_datasets(datasets: Sequence[Dataset]) -> Dataset:
                 )
     seeds = list(itertools.product(*(sorted(ds.domain) for ds in datasets)))
     nullary = set.intersection(*({a.pred for a in ds.atoms if not a.args} for ds in datasets))
+    consts, rows = _reachable_product(datasets, seeds)
+    names = ["d|" + "|".join(pc) for pc in consts]
     return Dataset(
-        [Atom(pred, tuple("d|" + "|".join(pc) for pc in args))
-         for pred, args in _reachable_product(datasets, seeds)]
+        [Atom(pred, tuple([names[i] for i in args])) for pred, args in rows]
         + [Atom(pred, ()) for pred in nullary]
     )
 
@@ -80,10 +81,12 @@ def _operand_index(summary: Dataset) -> dict[str, dict[tuple[str, int], list[tup
 
 def _reachable_product(
     summaries: Sequence[Dataset], frees: Sequence[tuple[str, ...]]
-) -> set[tuple[str, tuple]]:
+) -> tuple[list[tuple[str, ...]], set[tuple[str, tuple[int, ...]]]]:
     """The atoms of the direct product that are connected to the free
-    product constants, as ``(pred, args)`` with each argument a tuple of
-    parts, one per operand.
+    product constants.  A product constant is the tuple of its parts, one
+    per operand, and is numbered as the walk finds it, the free ones first
+    in the given order: the walk returns the product constants by number
+    and the atoms as ``(pred, args)`` with each argument a number.
 
     Breadth-first over product constants: the product atoms holding a
     constant c at position p are the same-predicate combinations of the
@@ -92,10 +95,10 @@ def _reachable_product(
     built.
     """
     first, *rest = [_operand_index(s) for s in summaries]
-    seen = set(frees)
-    queue = list(frees)
-    atoms: set[tuple[str, tuple]] = set()
-    for c in queue:  # grows while it is walked
+    number = {c: i for i, c in enumerate(dict.fromkeys(frees))}
+    consts = list(number)
+    atoms: set[tuple[str, tuple[int, ...]]] = set()
+    for c in consts:  # grows while it is walked
         others = [idx.get(part) for idx, part in zip(rest, c[1:])]
         if None in others:
             continue
@@ -108,74 +111,93 @@ def _reachable_product(
                 pools.append(match)
             else:
                 for combo in itertools.product(*pools):
-                    args = tuple(zip(*combo))
+                    args = tuple(map(number.get, zip(*combo)))
+                    if None in args:  # product constants met for the first time
+                        for t in zip(*combo):
+                            if t not in number:
+                                number[t] = len(consts)
+                                consts.append(t)
+                        args = tuple(map(number.get, zip(*combo)))
                     atoms.add((slot[0], args))
-                    for t in args:
-                        if t not in seen:
-                            seen.add(t)
-                            queue.append(t)
-    return atoms
+    return consts, atoms
 
 
-def _can_from_tuples(tuples: Sequence[ConstTuple], kb: SelectiveKB) -> Formula:
-    """The product construction for an explicitly ordered tuple sequence.
+def _assemble(
+    tuples: Sequence[ConstTuple], kb: SelectiveKB
+) -> tuple[list[Var], list, list[tuple[str, tuple[int, ...]]]]:
+    """The canonical characterization of an explicitly ordered tuple
+    sequence, read off the product walk with no ``Atom`` built and nothing
+    sorted: its head, its terms, and its atoms as ``(pred, args)`` rows,
+    each argument the number of a term.
 
     Only the part of the product connected to the free product constants
-    is built.  That is exact: every assembled term comes from one product
-    constant (``x|…`` from a free one, ``y|…`` from any other non-gene, a
-    base constant b from the gene (b,…,b)), so assembled atoms sharing a
-    term come from product atoms sharing a product constant.
+    is built.  That is exact: each product constant gets its terms once,
+    ``x|…`` when it is free, ``y|…`` when it is bound, the base constant b
+    for a gene (b,…,b), and both ``x|b|…|b`` and b for a free gene; so
+    terms shared by assembled atoms come from shared product constants.
+    Without a free gene each product constant has one term, numbered as
+    the walk numbered it, and each reachable product atom is a row as it
+    stands, linked term by term to a free variable: the can is nearly
+    connected already.  With a free gene, each product atom gives a row
+    per choice of terms, and the rows are restricted to the nearly
+    connected part, because base clones such as ``top(b)`` from
+    ``top(x|b|b)`` can fall outside the free variables' component; the
+    terms left are numbered again.
 
-    The nearly-connected part is taken only when some unit column is a
-    free gene (all tuples share its constant b), because base clones of
-    it, such as ``top(b)`` from ``top(x|b|b)``, can fall outside the free
-    variables' component.  Without a free gene every product constant has
-    exactly one assembled term, so each reachable product atom assembles
-    to one atom, and the product atoms linking it to a free product
-    constant assemble to atoms linking it, term by term, to a free
-    variable: the nearly-connected part would keep everything.
-
-    The can is returned as assembled, its variables named after their
-    product constants (``x|a|b`` free, ``y|a|b`` bound), not canonically
-    renamed: the decisions that search it answer the same whatever the
-    variables are called, and only printed formulas pay for the renaming
-    (``build_can``, the graph's class cores).  The kernel breaks ties by
-    variable name, so a search of this can explores a different tree than
-    one of its renamed presentation: its answer is the same, its node
-    count and the point where a budget runs out are not.
+    The variables keep the names of their product constants.  The kernel
+    breaks ties by variable name, so a search of the assembled can
+    explores a different tree than one of its canonically renamed
+    presentation: its answer is the same, its node count and the point
+    where a budget runs out are not.
     """
     summaries = [kb.summary(t) for t in tuples]
     frees = product_tuples(tuples)
-    free_set = set(frees)
+    consts, rows = _reachable_product(summaries, frees)
+    n_free = len(set(frees))
+    terms: list = []
+    own: list[tuple[int, ...]] = []  # product constant -> numbers of its terms
+    for i, pc in enumerate(consts):
+        mine = [Var("x|" + "|".join(pc))] if i < n_free else []
+        if len(set(pc)) == 1:
+            mine.append(pc[0])
+        elif i >= n_free:
+            mine.append(Var("y|" + "|".join(pc)))
+        own.append(tuple(range(len(terms), len(terms) + len(mine))))
+        terms += mine
+    head = [terms[own[consts.index(pc)][0]] for pc in frees]
+    if len(terms) == len(consts):
+        return head, terms, list(rows)
+    rows = [(pred, combo) for pred, args in rows
+            for combo in itertools.product(*[own[i] for i in args])]
+    # the nearly-connected part: rows linked to the head through shared terms
+    holding: list[list[int]] = [[] for _ in terms]
+    for r, (_pred, args) in enumerate(rows):
+        for t in args:
+            holding[t].append(r)
+    reached = [own[i][0] for i in range(n_free)]
+    number = {t: i for i, t in enumerate(reached)}  # reached term -> new number
+    kept = []
+    for t in reached:  # grows while it is walked
+        for r in holding[t]:
+            if rows[r] is not None:
+                kept.append(rows[r])
+                for u in rows[r][1]:
+                    if u not in number:
+                        number[u] = len(reached)
+                        reached.append(u)
+                rows[r] = None
+    return (head, [terms[t] for t in reached],
+            [(pred, tuple([number[t] for t in args])) for pred, args in kept])
 
-    # the assembled terms of each product constant: its variable or base
-    # constant, plus the base constant for a free gene
-    terms: dict[tuple[str, ...], tuple] = {}
 
-    def choices(pc: tuple[str, ...]) -> tuple:
-        hit = terms.get(pc)
-        if hit is None:
-            gene = len(set(pc)) == 1
-            if pc in free_set:
-                x = Var("x|" + "|".join(pc))
-                hit = (x, pc[0]) if gene else (x,)
-            elif gene:
-                hit = (pc[0],)
-            else:
-                hit = (Var("y|" + "|".join(pc)),)
-            terms[pc] = hit
-        return hit
-
-    atoms = {
-        Atom(pred, combo)
-        for pred, args in _reachable_product(summaries, frees)
-        for combo in itertools.product(*map(choices, args))
-    }
-    head = [choices(pc)[0] for pc in frees]
-    can = Formula(head, atoms)
-    if any(len(set(pc)) == 1 for pc in frees):
-        return nearly_connected_part(can)
-    return can
+def _can_from_tuples(tuples: Sequence[ConstTuple], kb: SelectiveKB) -> Formula:
+    """The canonical characterization of an explicitly ordered tuple
+    sequence as assembled (``_assemble``), its variables named after their
+    product constants (``x|a|b`` free, ``y|a|b`` bound).  Searches answer
+    as on its renamed presentation; only printed formulas pay for the
+    renaming (``build_can``, the graph's class cores)."""
+    head, terms, rows = _assemble(tuples, kb)
+    return Formula(head, (Atom(pred, tuple([terms[t] for t in args])) for pred, args in rows))
 
 
 def build_can(unit: Unit, kb: SelectiveKB) -> Formula:

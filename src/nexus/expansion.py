@@ -15,7 +15,9 @@ cores byte-identical.  Sweeps over many tuples (``is_definable``,
 can (``homs.fold_formula``), which drops its one-variable retractions in a
 few index lookups per variable; a single membership test (``ess_member``,
 the comparison gadgets, the graph's classification) searches the can
-unfolded.
+unfolded.  ``ess_member``, and so the gadgets, compile the search source
+straight from the numbered rows of the product walk
+(``characterize._assemble``) and build no formula.
 """
 
 from __future__ import annotations
@@ -24,16 +26,17 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .characterize import _can_from_tuples
+from .characterize import _assemble, _can_from_tuples
 from .errors import MixedArity, OverlapWithUnit, TupleSpaceTooLarge
 from .formulas import Formula, canonical_rename, to_text
 from .homs import (
+    _membership_test,
+    _Source,
     core_of_formula,
     equivalent,
     instances,
     iter_instances,
     membership_test,
-    tuple_membership,
 )
 from .kb import ConstTuple, SelectiveKB, Unit, validate_unit
 
@@ -57,11 +60,13 @@ def ess_member(
 ) -> bool:
     """Is tau in the essential expansion: one pinned hom search of the
     canonical characterization, as assembled, into tau's summary.  The
-    answer is that of the renamed ``build_can``; node counts and the point
-    where ``budget`` runs out differ, since the kernel breaks ties by name.
+    search source is compiled straight from the rows of the product walk
+    (``characterize._assemble``), so no formula is built.  The answer is
+    that of the renamed ``build_can``; node counts and the point where
+    ``budget`` runs out differ, since the kernel breaks ties by name.
     """
-    can = _can_from_tuples(unit.sorted_tuples(), kb)
-    return tuple_membership(can, kb, tuple(tau), budget)
+    head, terms, rows = _assemble(unit.sorted_tuples(), kb)
+    return _membership_test(_Source(terms, rows, head), head, kb, budget)(tuple(tau))
 
 
 def ess_set(unit: Unit, kb: SelectiveKB, budget: int | None = None) -> set[ConstTuple]:
@@ -94,7 +99,8 @@ def gad1(
     tau2: ConstTuple,
     budget: int | None = None,
 ) -> bool:
-    """Does tau fall inside the essential expansion of unit + tau2?"""
+    """Does tau fall inside the essential expansion of unit + tau2?  One
+    ``ess_member``: no formula is built."""
     _check_disjoint(unit, tau, tau2)
     return ess_member(_extended(unit, kb, tau2), kb, tuple(tau), budget)
 
@@ -106,7 +112,8 @@ def gad2(
     tau2: ConstTuple,
     budget: int | None = None,
 ) -> bool:
-    """Does tau2 fall inside the essential expansion of unit + tau?"""
+    """Does tau2 fall inside the essential expansion of unit + tau?  One
+    ``ess_member``: no formula is built."""
     _check_disjoint(unit, tau, tau2)
     return ess_member(_extended(unit, kb, tau), kb, tuple(tau2), budget)
 

@@ -26,12 +26,16 @@ Each node is cheap:
   variables wait in buckets by candidate count, sorted by name, so
   choosing the next variable does not scan them all.  Depth is bounded by
   memory, not by the interpreter's recursion limit.
-* The source side is compiled once per formula: its terms numbered, so a
-  search keeps its assignment in a list, its atoms sorted, and the
-  variables' order and atoms fixed.  Sweeps over many tuples
+* The source side is compiled once per formula (``_Source``): its terms
+  numbered, so a search keeps its assignment in a list, and the
+  variables' name order and atoms fixed.  The atoms are not sorted: their
+  order changes no search tree.  Sweeps over many tuples
   (``membership_test``, which ``instances`` and ``iter_instances`` use,
   and ``evaluate``) pay for it once.  The core compiles each block once,
-  from its input, and never edits it.
+  from its input, and never edits it.  A single membership of a
+  canonical characterization (``expansion.ess_member``, so the comparison
+  gadgets) compiles the numbered rows of the product walk
+  (``characterize._assemble``) and builds no formula.
 * A sweep rejects a tuple before selecting or indexing its summary when
   some free variable's value is one that no atom holding it allows in the
   whole dataset.  Summaries are sub-datasets, so such a tuple has no
@@ -50,6 +54,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from bisect import bisect_left, insort
+from collections import defaultdict
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 
@@ -102,60 +107,75 @@ def find_hom(problem: HomProblem, budget: int | None = None):
 class _Source:
     """The source side of a search, compiled for a fixed set of pinned keys.
 
-    Every distinct term gets a slot, and a search keeps the image of slot
-    ``s`` in ``image[s]`` (None while open), starting from ``template``,
-    which holds the constants.  ``atoms`` are ``((pred, arity), slots,
-    repeats)`` in ``Atom.key`` order, ``repeats`` flagging a repeated term.
-    ``variables`` are the slots of the unpinned variables in order of first
-    occurrence, ``by_var`` their atoms, and ``by_rank`` the same slots in
-    name order, ``rank`` its inverse.
+    Compiled from numbered terms and rows ``(pred, args)``, each argument
+    the number of a term, in whatever order the rows come: a formula's
+    atoms numbered by ``of_atoms``, or the rows ``characterize._assemble``
+    reads off the product walk.  Term number ``s`` is the search's slot
+    ``s``: a search keeps its image in ``image[s]`` (None while open),
+    starting from ``template``, which holds the constants.  ``atoms`` are
+    ``((pred, arity), slots, repeats)``, ``repeats`` flagging a repeated
+    term.  ``variables`` are the slots of the unpinned variables in order
+    of first occurrence, ``by_var`` their atoms, and ``by_rank`` the same
+    slots in name order, ``rank`` its inverse.  Only ``by_rank`` shapes the
+    search tree: forward checking intersects every support of the assigned
+    variable, whatever the order of its atoms, so neither the numbering
+    nor the row order changes a node count.
 
     Before the search, an atom whose arguments are distinct unpinned
     variables only restricts each of them to a column of the target, so
     the root pass intersects columns once per distinct set of them
     (``by_columns``) and asks the index only for the other atoms
-    (``fixed_atoms``).
+    (``fixed_atoms``).  Every term must occur in some row.
     """
 
     __slots__ = ("terms", "slot", "consts", "template", "atoms", "variables",
                  "by_var", "by_rank", "rank", "fixed_atoms", "by_columns")
 
-    def __init__(self, atoms: Iterable[Atom], pinned: Iterable = ()):
+    def __init__(
+        self, terms: list, rows: Iterable[tuple[str, tuple[int, ...]]], pinned: Iterable = ()
+    ):
         pinned = set(pinned)
-        slot: dict = {}
-        self.consts: dict = {}
+        self.terms = terms
+        self.slot = {t: s for s, t in enumerate(terms)}
+        self.template = [None if is_var(t) else t for t in terms]
+        self.consts = {t: t for t in self.template if t is not None}
+        open_slot = [is_var(t) and t not in pinned for t in terms]
         self.atoms = []
-        by_var: dict[int, list] = {}
         self.fixed_atoms = []
-        columns: dict[int, set] = {}
-        for a in sorted(set(atoms), key=Atom.key):
-            slots = tuple(slot.setdefault(t, len(slot)) for t in a.args)
-            compiled = ((a.pred, len(slots)), slots, len(set(slots)) < len(slots))
+        by_var: dict[int, list] = defaultdict(list)
+        columns: dict[int, set] = defaultdict(set)
+        for pred, slots in rows:
+            key = (pred, len(slots))
+            compiled = (key, slots, len(set(slots)) < len(slots))
             self.atoms.append(compiled)
-            if compiled[2] or any(not is_var(t) or t in pinned for t in a.args):
+            held = [s for s in slots if open_slot[s]]
+            if compiled[2]:
+                self.fixed_atoms.append(compiled)
+                held = dict.fromkeys(held)
+            elif len(held) < len(slots):
                 self.fixed_atoms.append(compiled)
             else:
                 for pos, s in enumerate(slots):
-                    columns.setdefault(s, set()).add((compiled[0], pos))
-            for t, s in zip(a.args, slots):
-                if not is_var(t):
-                    self.consts[t] = t
-                elif t not in pinned:
-                    seen = by_var.setdefault(s, [])
-                    if not seen or seen[-1] is not compiled:
-                        seen.append(compiled)
-        self.slot = slot
-        self.terms = list(slot)
-        self.template = [None if is_var(t) else t for t in self.terms]
+                    columns[s].add((key, pos))
+            for s in held:
+                by_var[s].append(compiled)
         self.variables = list(by_var)
-        self.by_var = [by_var.get(s) for s in range(len(slot))]
-        self.by_rank = sorted(self.variables, key=lambda s: self.terms[s].name)
-        self.rank = [0] * len(slot)
+        self.by_var = [by_var.get(s) for s in range(len(terms))]
+        self.by_rank = sorted(self.variables, key=lambda s: terms[s].name)
+        self.rank = [0] * len(terms)
         for i, s in enumerate(self.by_rank):
             self.rank[s] = i
         self.by_columns: dict[tuple, list[int]] = {}
         for s, cols in columns.items():
             self.by_columns.setdefault(tuple(sorted(cols)), []).append(s)
+
+    @classmethod
+    def of_atoms(cls, atoms: Iterable[Atom], pinned: Iterable = ()) -> "_Source":
+        """Compile atoms, each term numbered at its first occurrence."""
+        slot: dict = {}
+        rows = [(a.pred, tuple([slot.setdefault(t, len(slot)) for t in a.args]))
+                for a in atoms]
+        return cls(list(slot), rows, pinned)
 
     def image_of(self, pins: dict) -> list:
         image = self.template.copy()
@@ -335,7 +355,8 @@ def _search(
     budget: int | None = None,
     injective: bool = False,
 ):
-    return _run(_Source(source_atoms, pins), _Target(target_atoms), pins, budget, injective)
+    return _run(_Source.of_atoms(source_atoms, pins), _Target(target_atoms), pins, budget,
+                injective)
 
 
 def _run(
@@ -656,9 +677,9 @@ def evaluate(phi: Formula, dataset: Dataset, budget: int | None = None):
     """
     target = _dataset_target(dataset)
     if phi.arity == 0:
-        return _run(_Source(phi.atoms), target, {}, budget) is not None
+        return _run(_Source.of_atoms(phi.atoms), target, {}, budget) is not None
     distinct = phi.distinct_free_vars()
-    source = _Source(phi.atoms, distinct)
+    source = _Source.of_atoms(phi.atoms, distinct)
     allowed = _free_domains(source, target, distinct)
     if allowed is None:
         return set()
@@ -686,9 +707,17 @@ def membership_test(
     surfaces only for the tuples that are searched, because the others
     never reach the selector.
     """
-    source = _Source(phi.atoms, phi.free_vars)
-    free_vars, arity = phi.free_vars, phi.arity
-    allowed = _free_domains(source, _dataset_target(kb.dataset), phi.free_vars)
+    return _membership_test(_Source.of_atoms(phi.atoms, phi.free_vars), phi.free_vars, kb,
+                            budget)
+
+
+def _membership_test(
+    source: _Source, free_vars: tuple, kb: SelectiveKB, budget: int | None = None
+) -> Callable[[ConstTuple], bool]:
+    """``membership_test`` run from a compiled source and the free terms
+    it was compiled with pinned."""
+    arity = len(free_vars)
+    allowed = _free_domains(source, _dataset_target(kb.dataset), free_vars)
     columns = None if allowed is None else [allowed[v] for v in free_vars]
 
     def is_instance(tau: ConstTuple) -> bool:
@@ -811,7 +840,7 @@ def core_of_formula(
     target = _Target(atoms)
     source_of: dict[Atom, _Source] = {}
     for block in _blocks(atoms, free):
-        source = _Source(block, pins)
+        source = _Source.of_atoms(block, pins)
         for a in block:
             source_of[a] = source
     for alpha in sorted(source_of, key=Atom.key):

@@ -198,7 +198,7 @@ def core_of_formula(
     atoms = set(phi.atoms)
     free = set(phi.free_vars)
     pins = {v: v for v in free}
-    source = _Source(atoms, pins)
+    source = _Source.of_atoms(atoms, pins)
     # atoms holding each free variable; the last one of a variable stays
     holding = Counter(t for a in atoms for t in set(a.args) if t in free)
     for alpha in sorted(phi.atoms, key=Atom.key):
@@ -209,7 +209,7 @@ def core_of_formula(
         candidate = atoms - {alpha}
         if _run(source, _Target(candidate), pins, budget) is not None:
             atoms = candidate
-            source = _Source(atoms, pins)
+            source = _Source.of_atoms(atoms, pins)
             holding.subtract(t for t in set(alpha.args) if t in free)
     out = Formula(phi.free_vars, atoms)
     return canonical_rename(out) if rename else out
@@ -220,7 +220,7 @@ def membership_test(
 ) -> Callable[[ConstTuple], bool]:
     """Compile phi once; the returned function decides, for one tuple, what
     ``tuple_membership`` decides: one pinned hom search into its summary."""
-    source = _Source(phi.atoms, phi.free_vars)
+    source = _Source.of_atoms(phi.atoms, phi.free_vars)
     free_vars, arity = phi.free_vars, phi.arity
 
     def is_instance(tau: ConstTuple) -> bool:

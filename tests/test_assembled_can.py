@@ -1,25 +1,44 @@
 """Decisions search the canonical characterization as assembled, its
 variables named after their product constants; only printed formulas are
-canonically renamed.  A differential test requires every decision to answer
-as the kernel does on ``build_can``'s renamed can, and a regression test
-counts the renamings each operation pays for."""
+canonically renamed.  A single membership (``ess_member``, so the
+comparison gadgets) compiles the search source straight from the rows of
+the product walk and builds no formula.
+
+Differential tests require every decision to answer as the kernel does on
+``build_can``'s renamed can, and the source compiled from the rows to equal,
+slot for slot up to numbering, the one compiled from the formula that the
+materialize-then-prune reference assembles.  Regression tests count the
+renamings and formulas each operation pays for, and pin the node budget at
+which each of a set of memberships runs out, under two hash seeds."""
 
 import itertools
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import nexus
-from nexus.characterize import build_can
+import reference_can
+from nexus.characterize import _assemble, _can_from_tuples, build_can
 from nexus.errors import NexusError
 from nexus.expansion import (
     INC, PREC, PREC_INV, SIM, build_expansion_graph, compare, ess_member, ess_set,
     is_definable,
 )
-from nexus.formulas import canonical_rename
-from nexus.homs import instances, tuple_membership
-from nexus.kb import duplicate_columns, validate_unit
+from nexus.formulas import Formula, canonical_rename
+from nexus.homs import _Source, instances, tuple_membership
+from nexus.kb import (
+    Atom, SelectiveKB, SelectorSpec, close_under_top, duplicate_columns, term_key,
+    validate_unit,
+)
 from test_membership_reference import SELECTORS, make_kb
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def outcome(decide, *args):
@@ -102,3 +121,178 @@ def test_graph_renames_each_representative_and_its_core(
 ):
     graph = build_expansion_graph(parks_unit, parks_kb)
     assert len(rename_calls) == 2 * len(graph.nodes)
+
+
+def source_shape(source: _Source):
+    """A compiled source with every slot replaced by its term: equal for
+    two compilations of the same atoms and pins, however numbered."""
+    term = source.terms.__getitem__
+
+    def atom(compiled):
+        key, slots, repeats = compiled
+        return key, tuple(map(term, slots)), repeats
+
+    assert [source.slot[t] for t in source.terms] == list(range(len(source.terms)))
+    return {
+        "atoms": sorted(map(atom, source.atoms), key=repr),
+        "fixed_atoms": sorted(map(atom, source.fixed_atoms), key=repr),
+        "by_columns": {cols: sorted(map(term, slots), key=term_key)
+                       for cols, slots in source.by_columns.items()},
+        "by_rank": [term(s).name for s in source.by_rank],
+        "by_var": {term(s): sorted(map(atom, source.by_var[s]), key=repr)
+                   for s in source.variables},
+        "template": sorted(zip(map(repr, source.terms), map(repr, source.template))),
+        "consts": source.consts,
+    }
+
+
+def assert_compiles_as_the_formula(tuples, kb):
+    """The rows of ``_assemble`` compile to the source of the formula that
+    the reference assembles, before it renames it."""
+    with mock.patch.object(reference_can, "canonical_rename", lambda phi: phi):
+        want = reference_can._can_from_tuples(tuples, kb)
+    head, terms, rows = _assemble(tuples, kb)
+    assert tuple(head) == want.free_vars
+    assert sorted({s for _pred, args in rows for s in args}) == list(range(len(terms)))
+    assert _can_from_tuples(tuples, kb) == want
+    got = _Source(terms, rows, head)
+    assert len(got.atoms) == len(want.atoms)
+    assert source_shape(got) == source_shape(_Source.of_atoms(want.atoms, head))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    selector=st.sampled_from(["full", "sigma0", "component", "neighborhood:1"]),
+    arity=st.integers(1, 3),
+    gene=st.booleans(),
+    data=st.data(),
+)
+def test_assembled_rows_compile_as_the_formula(seed, selector, arity, gene, data):
+    rng = random.Random(seed)
+    consts = [f"e{i}" for i in range(1, rng.randint(3, 5) + 1)]
+    atoms = [Atom(p, (s, o)) for p in ("p", "r") for s in consts for o in consts
+             if rng.random() < 0.2]
+    atoms += [Atom("q", (c,)) for c in consts if rng.random() < 0.3]
+    kb = SelectiveKB(close_under_top(atoms + [Atom("top", (c,)) for c in consts]),
+                     SelectorSpec.parse(selector))
+    # a free gene: one column holds the same constant on every tuple
+    column = data.draw(st.integers(0, arity - 1)) if gene else None
+    b = data.draw(st.sampled_from(consts))
+    row = st.tuples(*[st.just(b) if i == column else st.sampled_from(consts)
+                      for i in range(arity)])
+    tuples = data.draw(st.lists(row, min_size=1, max_size=3, unique=True))
+    assert_compiles_as_the_formula(sorted(tuples), kb)
+
+
+@pytest.mark.parametrize("selector", ["sigma0", "neighborhood:1", "full"])
+@pytest.mark.parametrize("tuples", [
+    [("Discovery_Cove",), ("Epcot",)],
+    # the Florida column is a free gene: its clones take the nearly-connected part
+    [("Discovery_Cove", "Florida"), ("Epcot", "Florida")],
+    [("Discovery_Cove", "Florida"), ("Epcot", "Florida"), ("Gardaland", "Italy")],
+])
+def test_parks_rows_compile_as_the_formula(parks_dataset, tuples, selector):
+    assert_compiles_as_the_formula(tuples, SelectiveKB(parks_dataset, SelectorSpec.parse(selector)))
+
+
+def test_decisions_build_no_formula(parks_kb, parks_dataset, parks_unit, monkeypatch):
+    """``ess_member`` and ``compare`` compile the rows of the product walk:
+    no call of ``_can_from_tuples`` through any engine binding of it, and
+    no ``Formula`` at all."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _can_from_tuples(*args)
+
+    for module in (nexus.characterize, nexus.homs, nexus.expansion):
+        for name, value in list(vars(module).items()):
+            if value is _can_from_tuples:
+                monkeypatch.setattr(module, name, counting)
+    formulas = []
+    init = Formula.__init__
+
+    def counting_init(self, *args):
+        formulas.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Formula, "__init__", counting_init)
+    arity2 = validate_unit([("Discovery_Cove", "Florida"), ("Epcot", "Florida")], parks_dataset)
+    assert ess_member(parks_unit, parks_kb, ("Epcot",))
+    assert not ess_member(parks_unit, parks_kb, ("Gardaland",))
+    assert ess_member(arity2, parks_kb, ("Epcot", "Florida"))
+    assert compare(parks_kb, parks_unit, ("Gardaland",), ("Leolandia",)) == PREC
+    assert calls == [] and formulas == []
+    # sweeps still search a formula, and the counters see it
+    assert is_definable(parks_unit, parks_kb)
+    assert len(calls) == 1 and formulas
+
+
+# Memberships that reach a search: the 3-col reductions of small graphs
+# under ``full`` and extensions of the parks units, each with its answer
+# and the nodes its search took when cans were still compiled from a
+# sorted formula.  The script prints, per membership, whether a budget of
+# that many nodes gives the answer and one node fewer runs out.
+BUDGET_SCRIPT = r"""
+import itertools
+import sys
+from pathlib import Path
+
+from nexus import oracles
+from nexus.errors import BudgetExceeded
+from nexus.expansion import ess_member
+from nexus.kb import SelectiveKB, SelectorSpec, parse_facts, validate_unit
+
+K4 = list(itertools.combinations(["v0", "v1", "v2", "v3"], 2))
+GRAPHS = [
+    (["v0", "v1", "v2"], [("v0", "v1"), ("v1", "v2"), ("v0", "v2")], 1, True, 15),
+    (["v0", "v1", "v2"], [("v0", "v1"), ("v1", "v2"), ("v0", "v2")], 2, True, 15),
+    (["v0", "v1", "v2", "v3"], K4, 1, False, 15),
+    ([f"v{i}" for i in range(5)], [(f"v{i}", f"v{(i + 1) % 5}") for i in range(5)], 1, True, 35),
+    ([f"v{i}" for i in range(6)],
+     [(f"v{i}", f"v{(i + 1) % 5}") for i in range(5)] + [("v5", f"v{i}") for i in range(5)],
+     1, False, 147),
+]
+cases = []
+for vertices, edges, k, colorable, nodes in GRAPHS:
+    kb, unit, tau = oracles.gen_3col_instance(vertices, edges, k)
+    cases.append((kb, unit, tau, colorable, nodes))
+dataset = parse_facts(Path(sys.argv[1]).read_text())
+PARKS = [
+    ("sigma0", [("Discovery_Cove",), ("Epcot",)], ("Epcot",), True, 2),
+    ("sigma0", [("Discovery_Cove",), ("Epcot",), ("Gardaland",)], ("Epcot",), True, 7),
+    ("sigma0", [("Discovery_Cove", "Florida"), ("Epcot", "Florida")], ("Epcot", "Florida"), True, 2),
+    ("neighborhood:1", [("Discovery_Cove",), ("Epcot",), ("Pacific_Park",)], ("Prater",), True, 4),
+    ("neighborhood:1", [("Discovery_Cove", "Florida"), ("Epcot", "Florida")], ("Epcot", "Florida"),
+     True, 3),
+]
+for selector, tuples, tau, member, nodes in PARKS:
+    kb = SelectiveKB(dataset, SelectorSpec.parse(selector))
+    cases.append((kb, validate_unit(tuples, dataset), tau, member, nodes))
+for kb, unit, tau, member, nodes in cases:
+    answers = ess_member(unit, kb, tau, budget=nodes) is member
+    try:
+        ess_member(unit, kb, tau, budget=nodes - 1)
+        ran_out = False
+    except BudgetExceeded:
+        ran_out = True
+    print(sorted(unit.tuples), tau, nodes, answers, ran_out)
+"""
+
+
+def test_memberships_run_out_of_budget_where_they_did():
+    """Each membership answers within the node count that its search took
+    when the can was still compiled from a sorted formula, and runs out
+    one node earlier, whatever order the rows come in."""
+    for hash_seed in ("0", "4242"):
+        path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(path))
+        done = subprocess.run(
+            [sys.executable, "-c", BUDGET_SCRIPT, str(ROOT / "data" / "parks.nxf")],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        lines = done.stdout.splitlines()
+        assert len(lines) == 10
+        for line in lines:
+            assert line.endswith(" True True"), (hash_seed, line)
