@@ -7,7 +7,11 @@ forward checking.  It assigns next the unassigned variable with the
 fewest candidate values (ties broken by name), tries those values in term
 order, and after each choice narrows the candidates of the neighbouring
 variables to what the target still supports.  All orderings are fixed,
-so results are reproducible.
+so results are reproducible.  The kernel (``_run``) returns the image of
+every source term, or None.  Its root pass, which asks the target for
+every source atom, nullary ones included, is its only test of the target.
+``_search`` keeps the API's pin contract around it, pins on terms the
+source lacks included, and turns the image into a map.
 
 Each node is cheap:
 
@@ -27,9 +31,8 @@ Each node is cheap:
   choosing the next variable does not scan them all.  Depth is bounded by
   memory, not by the interpreter's recursion limit.
 * The source side is compiled once per formula (``_Source``): its terms
-  numbered, so a search keeps its assignment in a list, and the
-  variables' name order and atoms fixed.  The atoms are not sorted: their
-  order changes no search tree.  Sweeps over many tuples
+  numbered, so a search keeps its image in a list, and the variables'
+  name order and atoms fixed.  Sweeps over many tuples
   (``membership_test``, which ``instances`` and ``iter_instances`` use,
   and ``evaluate``) pay for it once.  The core compiles each block once,
   from its input, and never edits it.  A single membership of a
@@ -39,7 +42,8 @@ Each node is cheap:
 * A sweep rejects a tuple before selecting or indexing its summary when
   some free variable's value is one that no atom holding it allows in the
   whole dataset.  Summaries are sub-datasets, so such a tuple has no
-  homomorphism into its summary either.
+  homomorphism into its summary either.  It indexes no summary that
+  lacks a constant of the formula.
 * A sweep (``iter_instances``, so ``instances``) searches the folded
   formula (``fold_formula``): the atoms of every bound variable that one
   substitution maps onto other atoms are dropped first.  The folded
@@ -84,8 +88,9 @@ class _Budget:
 class HomProblem:
     """A constant-preserving homomorphism search instance.
 
-    ``pinned`` may force variables to required images; the identity on
-    every source constant is implied and need not be listed.
+    ``pinned`` may force variables, the source's or not, to required
+    images in the target; the identity on every source constant is implied
+    and need not be listed.
     """
 
     source: frozenset[Atom]
@@ -99,8 +104,9 @@ class HomProblem:
 
 
 def find_hom(problem: HomProblem, budget: int | None = None):
-    """Total map extending the pins that preserves every source atom, or
-    None.  Deterministic: first solution under the fixed orderings."""
+    """Map of every source term and pinned key, extending the pins and
+    preserving every source atom, or None.  Deterministic: first solution
+    under the fixed orderings."""
     return _search(problem.source, problem.target, dict(problem.pinned), budget)
 
 
@@ -110,26 +116,22 @@ class _Source:
     Compiled from numbered terms and rows ``(pred, args)``, each argument
     the number of a term, in whatever order the rows come: a formula's
     atoms numbered by ``of_atoms``, or the rows ``characterize._assemble``
-    reads off the product walk.  Term number ``s`` is the search's slot
-    ``s``: a search keeps its image in ``image[s]`` (None while open),
-    starting from ``template``, which holds the constants.  ``atoms`` are
-    ``((pred, arity), slots, repeats)``, ``repeats`` flagging a repeated
-    term.  ``variables`` are the slots of the unpinned variables in order
-    of first occurrence, ``by_var`` their atoms, and ``by_rank`` the same
-    slots in name order, ``rank`` its inverse.  Only ``by_rank`` shapes the
-    search tree: forward checking intersects every support of the assigned
-    variable, whatever the order of its atoms, so neither the numbering
-    nor the row order changes a node count.
+    reads off the product walk.  Every term must occur in some row.  Term
+    number ``s`` is the search's slot ``s``, and its image starts from
+    ``template``, which holds the constants.  ``by_rank`` holds the slots
+    of the unpinned variables in name order, ``rank`` its inverse, and
+    ``by_var`` their atoms ``((pred, arity), slots, repeats)``.  Only
+    ``by_rank`` shapes the search tree, not the numbering or the row order.
 
-    Before the search, an atom whose arguments are distinct unpinned
-    variables only restricts each of them to a column of the target, so
-    the root pass intersects columns once per distinct set of them
-    (``by_columns``) and asks the index only for the other atoms
-    (``fixed_atoms``).  Every term must occur in some row.
+    The root pass checks every row.  An atom whose arguments are distinct
+    unpinned variables only restricts each to a column of the target, so
+    it intersects columns once per distinct set of them (``by_columns``);
+    every other atom, nullary ones included, is asked of the index
+    (``fixed_atoms``).
     """
 
-    __slots__ = ("terms", "slot", "consts", "template", "atoms", "variables",
-                 "by_var", "by_rank", "rank", "fixed_atoms", "by_columns")
+    __slots__ = ("terms", "slot", "template", "by_var", "by_rank", "rank",
+                 "fixed_atoms", "by_columns")
 
     def __init__(
         self, terms: list, rows: Iterable[tuple[str, tuple[int, ...]]], pinned: Iterable = ()
@@ -138,30 +140,25 @@ class _Source:
         self.terms = terms
         self.slot = {t: s for s, t in enumerate(terms)}
         self.template = [None if is_var(t) else t for t in terms]
-        self.consts = {t: t for t in self.template if t is not None}
         open_slot = [is_var(t) and t not in pinned for t in terms]
-        self.atoms = []
         self.fixed_atoms = []
         by_var: dict[int, list] = defaultdict(list)
         columns: dict[int, set] = defaultdict(set)
         for pred, slots in rows:
             key = (pred, len(slots))
             compiled = (key, slots, len(set(slots)) < len(slots))
-            self.atoms.append(compiled)
             held = [s for s in slots if open_slot[s]]
-            if compiled[2]:
-                self.fixed_atoms.append(compiled)
-                held = dict.fromkeys(held)
-            elif len(held) < len(slots):
-                self.fixed_atoms.append(compiled)
-            else:
+            if not compiled[2] and 0 < len(held) == len(slots):
                 for pos, s in enumerate(slots):
                     columns[s].add((key, pos))
+            else:
+                self.fixed_atoms.append(compiled)
+                if compiled[2]:
+                    held = dict.fromkeys(held)
             for s in held:
                 by_var[s].append(compiled)
-        self.variables = list(by_var)
         self.by_var = [by_var.get(s) for s in range(len(terms))]
-        self.by_rank = sorted(self.variables, key=lambda s: terms[s].name)
+        self.by_rank = sorted(by_var, key=lambda s: terms[s].name)
         self.rank = [0] * len(terms)
         for i, s in enumerate(self.by_rank):
             self.rank[s] = i
@@ -189,22 +186,12 @@ class _Source:
 class _Target:
     """Index of a target atom set for the supports of source atoms."""
 
-    __slots__ = ("rows", "domain", "_by_value", "_columns")
+    __slots__ = ("rows", "_by_value", "_columns")
 
-    def __init__(self, atoms: Iterable[Atom], domain=None):
-        rows: dict[tuple, set] = {}
-        terms = set() if domain is None else None
+    def __init__(self, atoms: Iterable[Atom]):
+        rows = self.rows = defaultdict(set)
         for a in atoms:
-            key = (a.pred, len(a.args))
-            found = rows.get(key)
-            if found is None:
-                rows[key] = {a.args}
-            else:
-                found.add(a.args)
-            if terms is not None:
-                terms.update(a.args)
-        self.rows = rows
-        self.domain = domain if domain is not None else terms
+            rows[(a.pred, len(a.args))].add(a.args)
         self._by_value: dict[tuple, dict] = {}  # (key, pos) -> value -> tuples
         self._columns: dict[tuple, set] = {}  # (key, pos) -> values
 
@@ -229,7 +216,7 @@ class _Target:
 
     def discard(self, a: Atom):
         """Take one indexed atom out, keeping the lookups built so far in
-        step.  ``domain`` is left as it was, a superset of the terms."""
+        step."""
         key, args = (a.pred, len(a.args)), a.args
         self.rows[key].discard(args)
         for pos, value in enumerate(args):
@@ -323,7 +310,7 @@ def _dataset_target(dataset: Dataset) -> _Target:
     """The index of a whole dataset, built on first use and kept on the
     dataset as ``hom_index``."""
     if dataset.hom_index is None:
-        dataset.hom_index = _Target(dataset.atoms, dataset.domain)
+        dataset.hom_index = _Target(dataset.atoms)
     return dataset.hom_index
 
 
@@ -331,10 +318,11 @@ def _free_domains(source: _Source, target: _Target, free: Iterable[Var]):
     """For each free variable, the values that every atom holding it
     allows in the target, with the formula's constants fixed and every
     variable open; None when one of those atoms has no support at all.
-    ``source`` must be compiled with the free variables pinned."""
+    ``source`` must be compiled with the free variables pinned, so every
+    atom holding one is in ``fixed_atoms``."""
     slots = {source.slot[v]: v for v in free}
     domains: dict = {}
-    for key, atom_slots, repeats in source.atoms:
+    for key, atom_slots, repeats in source.fixed_atoms:
         if slots.keys().isdisjoint(atom_slots):
             continue
         found = target.supports(key, atom_slots, repeats, source.template)
@@ -355,8 +343,26 @@ def _search(
     budget: int | None = None,
     injective: bool = False,
 ):
-    return _run(_Source.of_atoms(source_atoms, pins), _Target(target_atoms), pins, budget,
-                injective)
+    """``find_hom`` on atoms: ``_run`` behind the pin contract.  A pin may
+    not move a source constant, and one on a term the source lacks needs
+    its value among the target's terms."""
+    source = _Source.of_atoms(source_atoms, pins)
+    target = _Target(target_atoms)
+    known = {t: t for t in source.template if t is not None}
+    if any(known.get(k, v) != v for k, v in pins.items()):
+        return None
+    known.update(pins)
+    absent = {v for k, v in pins.items() if k not in source.slot}
+    if absent and absent - {t for rows in target.rows.values() for tt in rows for t in tt}:
+        return None
+    used = set(known.values()) if injective else None
+    if injective and len(used) != len(known):
+        return None
+    image = _run(source, target, pins, budget, used)
+    if image is None:
+        return None
+    known.update(zip(source.terms, image))
+    return known
 
 
 def _run(
@@ -364,24 +370,15 @@ def _run(
     target: _Target,
     pins: dict,
     budget: int | None = None,
-    injective: bool = False,
+    used: set | None = None,
 ):
-    """The first homomorphism extending ``pins``, or None.
-
-    ``source`` must have been compiled with exactly the keys of ``pins``.
-    One budget unit is spent per value tried.
-    """
-    assignment = dict(source.consts)
-    for k, v in pins.items():
-        if assignment.get(k, v) != v:
-            return None
-        assignment[k] = v
-    if any(v not in target.domain for v in assignment.values()):
-        return None
-    used = set(assignment.values())
-    if injective and len(used) != len(assignment):
-        return None
+    """The first homomorphism extending ``pins`` as its image, one value
+    per slot, or None.  ``source`` must be compiled with exactly the keys
+    of ``pins``.  An injective search passes ``used``, the values no
+    variable may take, and adds its choices.  One budget unit is spent per
+    value tried."""
     image = source.image_of(pins)
+    injective = used is not None
 
     # root pass: every atom must have support, var domains start narrowed
     supports = target.supports
@@ -402,20 +399,18 @@ def _run(
         for s, values in found:
             current = domains[s]
             domains[s] = values if current is None else current & values
-    variables = source.variables
-    for s in variables:
+    by_rank = source.by_rank
+    for s in by_rank:
         if injective:
             domains[s] = domains[s] - used
         if not domains[s]:
             return None
 
     # open slots by candidate count, each bucket a sorted list of name ranks
-    rank, by_rank, by_var = source.rank, source.by_rank, source.by_var
+    rank, by_var = source.rank, source.by_var
     buckets: dict[int, list[int]] = {}
-    for s in variables:
-        buckets.setdefault(len(domains[s]), []).append(rank[s])
-    for ranks in buckets.values():
-        ranks.sort()
+    for r, s in enumerate(by_rank):
+        buckets.setdefault(len(domains[s]), []).append(r)
 
     def move(s, old: int, new: int):
         r = rank[s]
@@ -471,7 +466,7 @@ def _run(
                 if len(narrowed) != len(current):
                     narrow(u, current, narrowed)
         if injective:
-            for u in variables:
+            for u in by_rank:
                 if image[u] is None and val in domains[u]:
                     current = domains[u]
                     if len(current) == 1:
@@ -480,7 +475,7 @@ def _run(
         return True
 
     if not buckets:
-        return assignment
+        return image
     meter = _Budget(DEFAULT_BUDGET if budget is None else budget)
     var = pick()
     # frame: [slot, its values in order, next value index, trail mark]
@@ -513,9 +508,7 @@ def _run(
         if injective:
             used.add(val)
         if not buckets:
-            for s, *_rest in frames:
-                assignment[source.terms[s]] = image[s]
-            return assignment
+            return image
         var = pick()
         frames.append([var, sorted(domains[var], key=term_key), 0, len(trail)])
     return None
@@ -719,6 +712,7 @@ def _membership_test(
     arity = len(free_vars)
     allowed = _free_domains(source, _dataset_target(kb.dataset), free_vars)
     columns = None if allowed is None else [allowed[v] for v in free_vars]
+    consts = {t for t in source.template if t is not None}
 
     def is_instance(tau: ConstTuple) -> bool:
         if len(tau) != arity:
@@ -732,7 +726,9 @@ def _membership_test(
             kb.check_domain(tau)
             return False
         summary = kb.summary(tau)
-        return _run(source, _Target(summary.atoms, summary.domain), pins, budget) is not None
+        if not consts <= summary.domain:
+            return False
+        return _run(source, _Target(summary.atoms), pins, budget) is not None
 
     return is_instance
 
@@ -835,8 +831,6 @@ def core_of_formula(
     atoms = set(phi.atoms)
     free = set(phi.free_vars)
     pins = {v: v for v in free}
-    # the index keeps the input's terms as its domain, a superset: a term
-    # the block holds needs a current atom holding it all the same
     target = _Target(atoms)
     source_of: dict[Atom, _Source] = {}
     for block in _blocks(atoms, free):

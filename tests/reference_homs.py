@@ -232,6 +232,6 @@ def membership_test(
                 return False
             pins[v] = c
         summary = kb.summary(tau)
-        return _run(source, _Target(summary.atoms, summary.domain), pins, budget) is not None
+        return _run(source, _Target(summary.atoms), pins, budget) is not None
 
     return is_instance

@@ -21,7 +21,7 @@ from nexus.homs import (
     maps_to,
     tuple_membership,
 )
-from nexus.kb import Atom, Var, atom, close_under_top
+from nexus.kb import Atom, SelectiveKB, SelectorSpec, Var, atom, close_under_top
 from nexus.oracles import (
     RandomSkbConfig,
     brute_evaluate,
@@ -166,6 +166,29 @@ def test_instances_match_brute_on_seeds():
         kb = random_skb(RandomSkbConfig(max_constants=4, atom_density=0.2, seed=100 + i))
         phi = random_formula(kb, rng)
         assert instances(phi, kb) == brute_instances(phi, kb), i
+
+
+NULLARY_X = Var("x")
+WITH_NULLARY = Formula((NULLARY_X,), [Atom("q", (NULLARY_X,)), Atom("p", ())])
+
+
+@pytest.mark.parametrize("facts", [[atom("q", "a")], [atom("q", "a"), Atom("p", ())]])
+def test_nullary_atoms_are_checked(facts):
+    """``p()`` holds only where the target has it, like any other atom."""
+    dataset = close_under_top(facts)
+    assert evaluate(WITH_NULLARY, dataset) == brute_evaluate(WITH_NULLARY, dataset)
+    closed = Formula((), [Atom("p", ())])
+    assert evaluate(closed, dataset) == bool(brute_evaluate(closed, dataset))
+    for spec in ("full", "sigma0", "component"):
+        kb = SelectiveKB(dataset, SelectorSpec.parse(spec))
+        assert instances(WITH_NULLARY, kb) == brute_instances(WITH_NULLARY, kb), spec
+
+
+def test_maps_to_checks_nullary_atoms():
+    plain = Formula((NULLARY_X,), [Atom("q", (NULLARY_X,))])
+    assert not maps_to(WITH_NULLARY, plain)
+    assert maps_to(plain, WITH_NULLARY)
+    assert find_hom(HomProblem(WITH_NULLARY.atoms, plain.atoms)) is None
 
 
 def test_tuple_membership(parks_kb, parks_cores):

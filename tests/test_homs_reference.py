@@ -82,3 +82,55 @@ def test_same_answers_on_a_backtracking_search(injective):
     for budget in (None, *range(50)):
         expected = _outcome(reference_homs._search, source, target, {}, injective, budget)
         assert _outcome(_search, source, target, {}, injective, budget) == expected, budget
+
+
+@st.composite
+def problems_with_nullary(draw):
+    """Problems whose signature also has a nullary predicate, ``s``: the
+    reference checks ``s()`` against the target like any other atom."""
+    preds = PREDS + [("s", 0)]
+    source = draw(atoms_over(preds, SOURCE_VARS + CONSTS[:2], 1, 7))
+    target = draw(atoms_over(preds, CONSTS + TARGET_VARS, 0, 20))
+    pins = {v: draw(st.sampled_from(CONSTS))
+            for v in draw(st.lists(st.sampled_from(SOURCE_VARS), max_size=2))}
+    return source, target, pins, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(problems_with_nullary())
+def test_same_outcome_as_reference_with_nullary_atoms(problem):
+    source, target, pins, injective = problem
+    for budget in (None, *range(12)):
+        expected = _outcome(reference_homs._search, source, target, pins, injective, budget)
+        assert _outcome(_search, source, target, pins, injective, budget) == expected, budget
+
+
+A, B, G = Var("a"), Var("b"), Var("g")
+# a and b must map next to c0; q(c3) puts c3 in the target and nowhere else
+PIN_SOURCE = [Atom("r", (A, "c0")), Atom("r", ("c0", B))]
+PIN_TARGET = [Atom("r", args) for args in
+              (("c1", "c0"), ("c2", "c0"), ("c0", "c1"), ("c0", "c2"), ("c0", "c0"))]
+PIN_TARGET.append(Atom("q", ("c3",)))
+
+
+@pytest.mark.parametrize("pins, injective, found", [
+    ({}, False, True),
+    ({}, True, True),
+    # a pin on a variable the source lacks is kept when the target has its value
+    ({G: "c3"}, False, True),
+    ({G: "c9"}, False, False),
+    # a constant pinned to itself, in the source or not
+    ({"c0": "c0"}, False, True),
+    ({"c0": "c0"}, True, True),
+    ({"c3": "c3"}, False, True),
+    ({"c9": "c9"}, False, False),
+    ({"c0": "c1"}, False, False),
+    # an injective search may not give a pin a source constant's value
+    ({A: "c0"}, True, False),
+    ({G: "c0"}, True, False),
+    ({G: "c3"}, True, True),
+])
+def test_pins_against_reference(pins, injective, found):
+    expected = _outcome(reference_homs._search, PIN_SOURCE, PIN_TARGET, pins, injective)
+    assert (expected is not None) == found
+    assert _outcome(_search, PIN_SOURCE, PIN_TARGET, pins, injective) == expected
