@@ -64,9 +64,12 @@ def ess_member(
     (``characterize._assemble``), so no formula is built.  The answer is
     that of the renamed ``build_can``; node counts and the point where
     ``budget`` runs out differ, since the kernel breaks ties by name.
+    Like ``homs.tuple_membership`` it skips the sweeps' dataset-wide
+    pre-filter, so a custom selector is consulted for tau.
     """
     head, terms, rows = _assemble(unit.sorted_tuples(), kb)
-    return _membership_test(_Source(terms, rows, head), head, kb, budget)(tuple(tau))
+    return _membership_test(_Source(terms, rows, head), head, kb, budget, sweep=False)(
+        tuple(tau))
 
 
 def ess_set(unit: Unit, kb: SelectiveKB, budget: int | None = None) -> set[ConstTuple]:

@@ -25,6 +25,11 @@ Each node is cheap:
   built at most once per ``Dataset`` (``_dataset_target``), for
   ``evaluate`` and for the sweep filter below.  A summary's index is never
   kept.
+* After each choice, forward checking asks the target only about the
+  atoms of the chosen variable that still have an open slot.  An atom
+  whose variables are all assigned already holds: its last variable was
+  chosen among values narrowed with every other argument fixed.  So the
+  search tree is the same as when every atom is asked, with fewer lookups.
 * The search is a loop over an explicit stack.  Narrowed candidate sets
   are recorded on a trail and restored on backtracking, and the open
   variables wait in buckets by candidate count, sorted by name, so
@@ -42,8 +47,11 @@ Each node is cheap:
 * A sweep rejects a tuple before selecting or indexing its summary when
   some free variable's value is one that no atom holding it allows in the
   whole dataset.  Summaries are sub-datasets, so such a tuple has no
-  homomorphism into its summary either.  It indexes no summary that
-  lacks a constant of the formula.
+  homomorphism into its summary either.  A single-tuple decision
+  (``tuple_membership``, ``expansion.ess_member``) skips this filter: the
+  root pass into its summary rejects the same tuples, and the filter's
+  cost would not be shared.  No membership indexes a summary that lacks
+  a constant of the formula.
 * A sweep (``iter_instances``, so ``instances``) searches the folded
   formula (``fold_formula``): the atoms of every bound variable that one
   substitution maps onto other atoms are dropped first.  The folded
@@ -376,7 +384,21 @@ def _run(
     per slot, or None.  ``source`` must be compiled with exactly the keys
     of ``pins``.  An injective search passes ``used``, the values no
     variable may take, and adds its choices.  One budget unit is spent per
-    value tried."""
+    value tried.
+
+    Invariant: every atom whose slots all have an image holds in the
+    target.  The root pass narrows the slot of an atom with one open
+    variable with every other argument fixed (a column intersection, or
+    ``fixed_atoms``, through ``_Target._scan`` for repeats), and
+    ``propagate`` does the same for an atom left with one open variable.
+    Candidates only shrink until ``undo`` restores them together with
+    that narrowing, so any value the variable then takes completes a
+    tuple of the target.  ``propagate`` therefore skips the atoms with
+    no open slot, as forward checking does (Haralick & Elliott,
+    *Increasing tree search efficiency for constraint satisfaction
+    problems*, 1980): asking the target about them could only return
+    ``[]``, so the tree, its node count and its budget point are those of
+    asking every atom."""
     image = source.image_of(pins)
     injective = used is not None
 
@@ -453,8 +475,16 @@ def _run(
             domains[u] = previous
 
     def propagate(var, val) -> bool:
-        """Forward check the atoms of ``var``, narrowing on the trail."""
+        """Forward check the atoms of ``var`` that still have an open
+        slot, narrowing on the trail.  By the invariant of ``_run``, an atom
+        with no open slot holds, so skipping it keeps the search tree
+        (Haralick & Elliott, 1980)."""
         for key, slots, repeats in by_var[var]:
+            for s in slots:
+                if image[s] is None:
+                    break
+            else:
+                continue
             found = supports(key, slots, repeats, image)
             if found is None:
                 return False
@@ -688,8 +718,9 @@ def evaluate(phi: Formula, dataset: Dataset, budget: int | None = None):
 def membership_test(
     phi: Formula, kb: SelectiveKB, budget: int | None = None
 ) -> Callable[[ConstTuple], bool]:
-    """Compile phi once; the returned function decides, for one tuple, what
-    ``tuple_membership`` decides: one pinned hom search into its summary.
+    """Compile phi once for a sweep; the returned function decides, for
+    one tuple, what ``tuple_membership`` decides: one pinned hom search
+    into its summary.
 
     A tuple is rejected without selecting its summary when a value falls
     outside what ``evaluate`` would allow its free variable over the whole
@@ -705,12 +736,19 @@ def membership_test(
 
 
 def _membership_test(
-    source: _Source, free_vars: tuple, kb: SelectiveKB, budget: int | None = None
+    source: _Source,
+    free_vars: tuple,
+    kb: SelectiveKB,
+    budget: int | None = None,
+    sweep: bool = True,
 ) -> Callable[[ConstTuple], bool]:
     """``membership_test`` run from a compiled source and the free terms
-    it was compiled with pinned."""
+    it was compiled with pinned.  With ``sweep`` false it decides a single
+    tuple and skips the dataset-wide pre-filter: the root pass into the
+    summary rejects every tuple the filter would, and the filter's cost
+    could not be shared with other tuples."""
     arity = len(free_vars)
-    allowed = _free_domains(source, _dataset_target(kb.dataset), free_vars)
+    allowed = _free_domains(source, _dataset_target(kb.dataset), free_vars) if sweep else None
     columns = None if allowed is None else [allowed[v] for v in free_vars]
     consts = {t for t in source.template if t is not None}
 
@@ -722,7 +760,7 @@ def _membership_test(
             if pins.get(v, c) != c:
                 return False
             pins[v] = c
-        if columns is None or any(c not in values for c, values in zip(tau, columns)):
+        if sweep and (columns is None or any(c not in values for c, values in zip(tau, columns))):
             kb.check_domain(tau)
             return False
         summary = kb.summary(tau)
@@ -736,8 +774,11 @@ def _membership_test(
 def tuple_membership(
     phi: Formula, kb: SelectiveKB, tau: ConstTuple, budget: int | None = None
 ) -> bool:
-    """Is tau an instance of phi: one pinned hom search into its summary."""
-    return membership_test(phi, kb, budget)(tau)
+    """Is tau an instance of phi: one pinned hom search into its summary.
+    Unlike a sweep it has no dataset-wide pre-filter, so a custom selector
+    is consulted for tau even when the dataset rules it out."""
+    source = _Source.of_atoms(phi.atoms, phi.free_vars)
+    return _membership_test(source, phi.free_vars, kb, budget, sweep=False)(tau)
 
 
 def iter_instances(

@@ -7,7 +7,10 @@ import sys
 
 import pytest
 
+from nexus import homs, oracles
+from nexus.characterize import build_core_char
 from nexus.errors import ArityMismatch, BudgetExceeded
+from nexus.expansion import ess_member
 from nexus.formulas import Formula, parse_formula, to_text, top_formula
 from nexus.homs import (
     HomProblem,
@@ -104,6 +107,57 @@ def test_long_chain_needs_no_deep_stack():
         sys.setrecursionlimit(limit)
     assert hom is not None
     assert all(Atom("p", (hom[u], hom[v])) in target for u, v in zip(chain, chain[1:]))
+
+
+@pytest.fixture()
+def kernel_meter(monkeypatch):
+    """Counts ``_Target.supports`` calls and lists the nodes each search
+    that reaches the search loop spends, in order."""
+    meters, calls = [], [0]
+
+    class Metered(homs._Budget):
+        def __init__(self, cap):
+            super().__init__(cap)
+            meters.append(self)
+
+    supports = homs._Target.supports
+
+    def counted(self, *args):
+        calls[0] += 1
+        return supports(self, *args)
+
+    monkeypatch.setattr(homs, "_Budget", Metered)
+    monkeypatch.setattr(homs._Target, "supports", counted)
+    return lambda: (calls[0], [m.cap - m.left for m in meters])
+
+
+# Forward checking skips the atoms whose variables are all assigned.  The
+# node lists are those of the kernel that still asked the target about
+# them (2,242-2,258 and 887 ``supports`` calls, by hash seed): skipping
+# them must not move the search tree.
+CYCLES_NODES = [20, 19, 18, 17, 16, 15, 14, 13, 12, 11, 1, 10, 9, 8, 7, 6, 5, 4, 3, 2,
+                23, 24, 25, 26, 22, 21, 21, 20, 19, 18, 17, 16, 15, 14, 13, 12, 1, 11,
+                10, 9, 8, 7, 6, 5, 4, 3, 2, 23, 24, 25, 26, 27, 22]
+
+
+def test_core_search_skips_fully_assigned_atoms(kernel_meter):
+    """The core of the 2*3*5 prime cycles: a one-cycle core of 30 nodes."""
+    kb, unit = oracles.gen_prime_cycles(3)
+    assert build_core_char(unit, kb).size == 60
+    calls, nodes = kernel_meter()
+    assert nodes == CYCLES_NODES
+    assert calls <= 2242 // 2
+
+
+def test_membership_search_skips_fully_assigned_atoms(kernel_meter):
+    """``ess_member`` on the 3-colorability reduction of a 5-cycle."""
+    vertices = [f"v{i}" for i in range(5)]
+    edges = [(f"v{i}", f"v{(i + 1) % 5}") for i in range(5)]
+    kb, unit, tau = oracles.gen_3col_instance(vertices, edges, 1)
+    assert ess_member(unit, kb, tau)
+    calls, nodes = kernel_meter()
+    assert nodes == [35]
+    assert calls <= 887 * 3 // 5
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 scan-based kernel it replaced (``reference_homs``).  Both must return the
 same first solution or None, and run out of budget at the same node."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -101,6 +103,35 @@ def problems_with_nullary(draw):
 def test_same_outcome_as_reference_with_nullary_atoms(problem):
     source, target, pins, injective = problem
     for budget in (None, *range(12)):
+        expected = _outcome(reference_homs._search, source, target, pins, injective, budget)
+        assert _outcome(_search, source, target, pins, injective, budget) == expected, budget
+
+
+DENSE_PREDS = [("r", 2), ("t", 3), ("u", 3)]
+
+
+@st.composite
+def dense_problems(draw):
+    """Problems with 8-16 source atoms over the six variables alone,
+    ternary ones and ones that repeat a variable among them, into a dense
+    target over three constants: most atoms have all their variables
+    assigned after one or two narrowings, so forward checking skips them."""
+    source = draw(atoms_over(DENSE_PREDS, SOURCE_VARS, 7, 15))
+    x, y = draw(st.sampled_from(SOURCE_VARS)), draw(st.sampled_from(SOURCE_VARS))
+    source.append(Atom(draw(st.sampled_from(["t", "u"])), (x, y, x)))
+    everything = [Atom(pred, args) for pred, arity in DENSE_PREDS
+                  for args in itertools.product(CONSTS[:3], repeat=arity)]
+    target = draw(st.lists(st.sampled_from(everything), min_size=20, max_size=60, unique=True))
+    pins = {v: draw(st.sampled_from(CONSTS[:3]))
+            for v in draw(st.lists(st.sampled_from(SOURCE_VARS), max_size=1))}
+    return source, target, pins, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense_problems())
+def test_same_outcome_as_reference_on_dense_problems(problem):
+    source, target, pins, injective = problem
+    for budget in (None, *range(16)):
         expected = _outcome(reference_homs._search, source, target, pins, injective, budget)
         assert _outcome(_search, source, target, pins, injective, budget) == expected, budget
 

@@ -1,7 +1,9 @@
 """Differential tests: instance sweeps that reject, before selecting any
 summary, the tuples the whole dataset rules out, against the membership
 test that selected and indexed every tuple's summary
-(``reference_homs.membership_test``) and against the brute oracles."""
+(``reference_homs.membership_test``) and against the brute oracles.
+Single-tuple decisions, which skip that filter, are checked against the
+same reference."""
 
 import itertools
 import random
@@ -10,9 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_homs
+from nexus import homs
 from nexus.characterize import build_can
 from nexus.errors import ArityMismatch, NexusError, SelectorViolation, TupleOutsideDomain
-from nexus.expansion import is_definable
+from nexus.expansion import ess_member, is_definable
 from nexus.formulas import parse_formula
 from nexus.homs import evaluate, instances, membership_test, tuple_membership
 from nexus.kb import Atom, SelectiveKB, SelectorSpec, close_under_top
@@ -51,15 +54,23 @@ def outcome(test, tau):
         return type(exc)
 
 
-def assert_same_sweeps(phi, kb):
-    """Every tuple of the space, one with a constant outside the domain and
-    one of the wrong arity decided alike, and the same instance set."""
-    got, want = membership_test(phi, kb), reference_homs.membership_test(phi, kb)
+def tuples_to_decide(kb, arity):
+    """Every tuple of the space, then one with a constant outside the
+    domain and one of the wrong arity."""
     consts = sorted(kb.dataset.domain)
-    space = list(itertools.product(consts, repeat=phi.arity))
-    odd = [("nowhere",) + space[0][1:], space[0] + (consts[0],)]
-    for tau in space + odd:
-        assert outcome(got, tau) == outcome(want, tau), tau
+    space = list(itertools.product(consts, repeat=arity))
+    return space, space + [("nowhere",) + space[0][1:], space[0] + (consts[0],)]
+
+
+def assert_same_sweeps(phi, kb):
+    """Every tuple decided alike, by the sweep and by single decisions,
+    and the same instance set."""
+    got, want = membership_test(phi, kb), reference_homs.membership_test(phi, kb)
+    space, tuples = tuples_to_decide(kb, phi.arity)
+    for tau in tuples:
+        expected = outcome(want, tau)
+        assert outcome(got, tau) == expected, tau
+        assert outcome(lambda t: tuple_membership(phi, kb, t), tau) == expected, tau
     assert instances(phi, kb) == {tau for tau in space if want(tau)}
 
 
@@ -89,6 +100,22 @@ def test_sweeps_of_cans_match_reference(seed, selector, arity):
     kb = make_kb(seed, selector)
     unit = random_unit(kb, random.Random(seed), max_arity=arity, max_size=2)
     assert_same_sweeps(build_can(unit, kb), kb)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    selector=st.sampled_from(SELECTORS),
+    arity=st.integers(1, 2),
+)
+def test_ess_member_matches_reference(seed, selector, arity):
+    """``ess_member`` goes straight to each tuple's summary: the same
+    answers and errors as the reference on the renamed can."""
+    kb = make_kb(seed, selector)
+    unit = random_unit(kb, random.Random(seed), max_arity=arity, max_size=2)
+    want = reference_homs.membership_test(build_can(unit, kb), kb)
+    for tau in tuples_to_decide(kb, unit.arity)[1]:
+        assert outcome(lambda t: ess_member(unit, kb, t), tau) == outcome(want, tau), tau
 
 
 @settings(max_examples=60, deadline=None)
@@ -160,3 +187,44 @@ def test_the_dataset_index_is_built_once(parks_dataset):
     assert parks_dataset.hom_index is index
     assert all(summary.hom_index is None for summary in kb._cache.values())
 
+
+
+@pytest.fixture()
+def free_domain_calls(monkeypatch):
+    calls = []
+    free_domains = homs._free_domains
+
+    def counted(*args):
+        calls.append(args)
+        return free_domains(*args)
+
+    monkeypatch.setattr(homs, "_free_domains", counted)
+    return calls
+
+
+def test_single_decisions_skip_the_sweep_filter(parks_kb, parks_unit, free_domain_calls):
+    """``ess_member`` and ``tuple_membership`` decide one tuple, so they
+    compute no dataset-wide domains; a sweep computes them once."""
+    assert ess_member(parks_unit, parks_kb, ("Epcot",))
+    assert not ess_member(parks_unit, parks_kb, ("Gardaland",))
+    phi = parse_formula("x <- located(x,Florida)")
+    assert tuple_membership(phi, parks_kb, ("Epcot",))
+    assert not tuple_membership(phi, parks_kb, ("Gardaland",))
+    assert free_domain_calls == []
+    membership_test(phi, parks_kb)
+    assert len(free_domain_calls) == 1
+
+
+def test_a_single_decision_consults_the_selector(parks_dataset):
+    """With no filter in front of it, a custom selector is asked for the
+    one tuple, even one that the dataset rules out."""
+    asked = []
+
+    def bad(dataset, tau):
+        asked.append(tau)
+        return [Atom("made", ("up",))]
+
+    kb = SelectiveKB(parks_dataset, SelectorSpec.custom(bad))
+    with pytest.raises(SelectorViolation):
+        tuple_membership(parse_formula("x <- located(x,Florida)"), kb, ("Gardaland",))
+    assert asked == [("Gardaland",)]
