@@ -149,6 +149,10 @@ def _assemble(
     explores a different tree than one of its canonically renamed
     presentation: its answer is the same, its node count and the point
     where a budget runs out are not.
+
+    Every decision of a unit's can compiles these rows: ``ess_member``
+    as they stand, the sweeps ``ess_set`` and ``is_definable`` folded
+    (``homs._sweep``).  ``_can_from_tuples`` turns them into a formula.
     """
     summaries = [kb.summary(t) for t in tuples]
     frees = product_tuples(tuples)
@@ -195,7 +199,10 @@ def _can_from_tuples(tuples: Sequence[ConstTuple], kb: SelectiveKB) -> Formula:
     sequence as assembled (``_assemble``), its variables named after their
     product constants (``x|a|b`` free, ``y|a|b`` bound).  Searches answer
     as on its renamed presentation; only printed formulas pay for the
-    renaming (``build_can``, the graph's class cores)."""
+    renaming (``build_can``, the graph's class cores).  Its two callers
+    need a formula: ``build_can``, which prints it, and the expansion
+    graph's ``_class_of_tuple``, which keeps each class representative to
+    compare and core."""
     head, terms, rows = _assemble(tuples, kb)
     return Formula(head, (Atom(pred, tuple([terms[t] for t in args])) for pred, args in rows))
 
@@ -207,8 +214,8 @@ def build_can(unit: Unit, kb: SelectiveKB) -> Formula:
     The unit's tuples are ordered lexicographically before multiplying, so
     repeated runs produce the same formula.  The product is built by
     search from the free product constants, never materialized whole.
-    Decisions search the can as assembled (``_can_from_tuples``) instead:
-    the renaming changes no answer, only node counts and budget points.
+    Decisions search the can as assembled (``_assemble``) instead: the
+    renaming changes no answer, only node counts and budget points.
     """
     return canonical_rename(_can_from_tuples(unit.sorted_tuples(), kb))
 

@@ -244,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="full | sigma0 | component | neighborhood:<r> (default: full)",
         )
         p.add_argument("--budget", type=int, default=None, help="hom-search node cap")
-        p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", default=None, help="write output here instead of stdout")
 
@@ -259,12 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("can", help="canonical characterization of the unit")
     common(p)
-    p.add_argument("--stream", action="store_true", help="accepted and ignored")
     p.set_defaults(fn=cmd_can)
 
     p = sub.add_parser("core", help="core characterization of the unit")
     common(p)
-    p.add_argument("--stream", action="store_true", help="accepted and ignored")
     p.set_defaults(fn=cmd_core)
 
     p = sub.add_parser("def", help="is the unit definable?")

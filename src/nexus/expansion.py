@@ -5,19 +5,22 @@ a unit.
 All decision operations route through the canonical characterization
 rather than the core: the two are hom-equivalent, so their instance sets
 agree, and the canonical one is cheaper to build.  They search it as
-assembled (``characterize._can_from_tuples``), its variables named after
-their product constants: a yes/no answer or a tuple set does not depend
-on what the variables are called.  Only printed formulas are canonically
-renamed: ``build_can``, ``build_core_char``, and each class representative
-of the expansion graph right before it is cored, which keeps the printed
-cores byte-identical.  Sweeps over many tuples (``is_definable``,
-``ess_set`` and the ess(U) sweeps of the graph builder) search the folded
-can (``homs.fold_formula``), which drops its one-variable retractions in a
-few index lookups per variable; a single membership test (``ess_member``,
-the comparison gadgets, the graph's classification) searches the can
-unfolded.  ``ess_member``, and so the gadgets, compile the search source
-straight from the numbered rows of the product walk
-(``characterize._assemble``) and build no formula.
+assembled, its variables named after their product constants: a yes/no
+answer or a tuple set does not depend on what the variables are called.
+Only printed formulas are canonically renamed: ``build_can``,
+``build_core_char``, and each class representative of the expansion graph
+right before it is cored, which keeps the printed cores byte-identical.
+
+Every decision about a unit has one compile path: the search source is
+compiled straight from the numbered rows of the product walk of its can
+(``characterize._assemble``), and no formula is built.  A single
+membership (``ess_member``, so the comparison gadgets) compiles them as
+they stand; a sweep over many tuples (``is_definable``, ``ess_set``, so
+the graph builder's ess(U)) first folds them (``homs._sweep``), dropping
+one-variable retractions with a root pass of the kernel per variable.
+Only the graph's classification builds each can of ``U + tau`` as a
+formula (``characterize._can_from_tuples``), because the class
+representatives are kept, compared and cored.
 """
 
 from __future__ import annotations
@@ -29,15 +32,7 @@ from dataclasses import dataclass
 from .characterize import _assemble, _can_from_tuples
 from .errors import MixedArity, OverlapWithUnit, TupleSpaceTooLarge
 from .formulas import Formula, canonical_rename, to_text
-from .homs import (
-    _membership_test,
-    _Source,
-    core_of_formula,
-    equivalent,
-    instances,
-    iter_instances,
-    membership_test,
-)
+from .homs import _membership_test, _Source, _sweep, core_of_formula, equivalent, membership_test
 from .kb import ConstTuple, SelectiveKB, Unit, validate_unit
 
 
@@ -45,14 +40,19 @@ def is_definable(unit: Unit, kb: SelectiveKB, budget: int | None = None) -> bool
     """Does some explanation have exactly this unit as its instance set?
 
     Equivalently: no tuple outside the unit is an instance of its
-    canonical characterization, searched as assembled.  The answer is
-    that of the renamed ``build_can``; node counts and the point where
+    canonical characterization, swept as assembled.  The answer is that
+    of the renamed ``build_can``; node counts and the point where
     ``budget`` runs out differ, since the kernel breaks ties by name.
     """
-    can = _can_from_tuples(unit.sorted_tuples(), kb)
     space = itertools.product(sorted(kb.dataset.domain), repeat=unit.arity)
     outside = (tau for tau in space if tau not in unit.tuples)
-    return next(iter_instances(can, kb, outside, budget), None) is None
+    return next(_can_sweep(unit, kb, outside, budget), None) is None
+
+
+def _can_sweep(unit: Unit, kb: SelectiveKB, candidates, budget: int | None):
+    """The candidates in the unit's essential expansion, lazily: a sweep
+    of the rows of its canonical characterization as assembled."""
+    return _sweep(*_assemble(unit.sorted_tuples(), kb), kb, candidates, budget)
 
 
 def ess_member(
@@ -78,7 +78,8 @@ def ess_set(unit: Unit, kb: SelectiveKB, budget: int | None = None) -> set[Const
     of the renamed ``build_can``; node counts and the point where
     ``budget`` runs out differ, since the kernel breaks ties by name.
     """
-    return instances(_can_from_tuples(unit.sorted_tuples(), kb), kb, budget)
+    space = itertools.product(sorted(kb.dataset.domain), repeat=unit.arity)
+    return set(_can_sweep(unit, kb, space, budget))
 
 
 def _extended(unit: Unit, kb: SelectiveKB, tau: ConstTuple) -> Unit:
@@ -327,8 +328,7 @@ def build_expansion_graph(
             cap=tuple_cap,
         )
     space = [tuple(t) for t in itertools.product(consts, repeat=n)]
-    unit_can = _can_from_tuples(unit.sorted_tuples(), kb)
-    closures = _Closures(kb, space, frozenset(instances(unit_can, kb, budget)))
+    closures = _Closures(kb, space, frozenset(ess_set(unit, kb, budget)))
 
     # group by instance fingerprint, confirming each member by
     # hom-equivalence to the first one

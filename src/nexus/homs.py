@@ -38,11 +38,12 @@ Each node is cheap:
 * The source side is compiled once per formula (``_Source``): its terms
   numbered, so a search keeps its image in a list, and the variables'
   name order and atoms fixed.  Sweeps over many tuples
-  (``membership_test``, which ``instances`` and ``iter_instances`` use,
-  and ``evaluate``) pay for it once.  The core compiles each block once,
-  from its input, and never edits it.  A single membership of a
-  canonical characterization (``expansion.ess_member``, so the comparison
-  gadgets) compiles the numbered rows of the product walk
+  (``membership_test``, ``instances``, ``iter_instances`` and
+  ``evaluate``) pay for it once.  The core compiles each block once,
+  from its input, and never edits it.  Every decision about a canonical
+  characterization (``expansion.ess_member``, so the comparison gadgets,
+  and the sweeps ``expansion.ess_set`` and ``expansion.is_definable``)
+  compiles the numbered rows of the product walk
   (``characterize._assemble``) and builds no formula.
 * A sweep rejects a tuple before selecting or indexing its summary when
   some free variable's value is one that no atom holding it allows in the
@@ -52,13 +53,15 @@ Each node is cheap:
   root pass into its summary rejects the same tuples, and the filter's
   cost would not be shared.  No membership indexes a summary that lacks
   a constant of the formula.
-* A sweep (``iter_instances``, so ``instances``) searches the folded
-  formula (``fold_formula``): the atoms of every bound variable that one
-  substitution maps onto other atoms are dropped first.  The folded
-  formula is hom-equivalent to the input, so the answers are the same,
-  and every tuple pays for fewer variables.  A single test
-  (``tuple_membership``, ``membership_test``), ``evaluate`` and the core
-  search the formula as given.
+* A sweep (``iter_instances``, so ``instances``, and the sweeps of a
+  canonical characterization) folds its numbered rows before compiling
+  them (``_fold``): the atoms of every bound variable that one
+  substitution maps onto other atoms are dropped.  Each such test is a
+  root pass of the kernel with one open variable, asked of a ``_Target``
+  of the rows kept so far.  What is left is hom-equivalent to the input,
+  so the answers are the same, and every tuple pays for fewer variables.
+  A single test (``tuple_membership``, ``membership_test``), ``evaluate``
+  and the core search the formula as given.
 """
 
 from __future__ import annotations
@@ -124,8 +127,9 @@ class _Source:
     Compiled from numbered terms and rows ``(pred, args)``, each argument
     the number of a term, in whatever order the rows come: a formula's
     atoms numbered by ``of_atoms``, or the rows ``characterize._assemble``
-    reads off the product walk.  Every term must occur in some row.  Term
-    number ``s`` is the search's slot ``s``, and its image starts from
+    reads off the product walk.  A variable may occur in no row, as one
+    that a sweep's fold dropped: its slot gets no image.  Term number
+    ``s`` is the search's slot ``s``, and its image starts from
     ``template``, which holds the constants.  ``by_rank`` holds the slots
     of the unpinned variables in name order, ``rank`` its inverse, and
     ``by_var`` their atoms ``((pred, arity), slots, repeats)``.  Only
@@ -176,11 +180,7 @@ class _Source:
 
     @classmethod
     def of_atoms(cls, atoms: Iterable[Atom], pinned: Iterable = ()) -> "_Source":
-        """Compile atoms, each term numbered at its first occurrence."""
-        slot: dict = {}
-        rows = [(a.pred, tuple([slot.setdefault(t, len(slot)) for t in a.args]))
-                for a in atoms]
-        return cls(list(slot), rows, pinned)
+        return cls(*_numbered(atoms), pinned)
 
     def image_of(self, pins: dict) -> list:
         image = self.template.copy()
@@ -189,6 +189,14 @@ class _Source:
             if s is not None:
                 image[s] = v
         return image
+
+
+def _numbered(atoms: Iterable[Atom]) -> tuple[list, list[tuple[str, tuple[int, ...]]]]:
+    """The terms of the atoms, each numbered at its first occurrence, and
+    the atoms as rows ``(pred, args)`` of those numbers."""
+    slot: dict = {}
+    rows = [(a.pred, tuple([slot.setdefault(t, len(slot)) for t in a.args])) for a in atoms]
+    return list(slot), rows
 
 
 class _Target:
@@ -222,10 +230,10 @@ class _Target:
             values = self._columns[(key, pos)] = {tt[pos] for tt in self.rows[key]}
         return values
 
-    def discard(self, a: Atom):
+    def discard(self, pred: str, args: tuple):
         """Take one indexed atom out, keeping the lookups built so far in
         step."""
-        key, args = (a.pred, len(a.args)), a.args
+        key = (pred, len(args))
         self.rows[key].discard(args)
         for pos, value in enumerate(args):
             by_value = self._by_value.get((key, pos))
@@ -238,9 +246,9 @@ class _Target:
             if column is not None and self._holding(key, pos, value) is None:
                 column.discard(value)
 
-    def add(self, a: Atom):
-        """Put back an atom taken out by ``discard``."""
-        key, args = (a.pred, len(a.args)), a.args
+    def add(self, pred: str, args: tuple):
+        """Add an atom, or put back one taken out by ``discard``."""
+        key = (pred, len(args))
         self.rows[key].add(args)
         for pos, value in enumerate(args):
             by_value = self._by_value.get((key, pos))
@@ -328,20 +336,28 @@ def _free_domains(source: _Source, target: _Target, free: Iterable[Var]):
     variable open; None when one of those atoms has no support at all.
     ``source`` must be compiled with the free variables pinned, so every
     atom holding one is in ``fixed_atoms``."""
-    slots = {source.slot[v]: v for v in free}
-    domains: dict = {}
-    for key, atom_slots, repeats in source.fixed_atoms:
-        if slots.keys().isdisjoint(atom_slots):
-            continue
-        found = target.supports(key, atom_slots, repeats, source.template)
+    slots = {source.slot[v] for v in free}
+    domains: list = [None] * len(source.terms)
+    held = [atom for atom in source.fixed_atoms if not slots.isdisjoint(atom[1])]
+    if not _intersect_supports(target, held, source.template, domains):
+        return None
+    return {v: domains[source.slot[v]] for v in free}
+
+
+def _intersect_supports(target: _Target, atoms: Iterable, image: list, domains: list) -> bool:
+    """Narrow ``domains``, one value set per slot and None for a slot not
+    yet narrowed, to the supports in ``target`` of each compiled atom
+    ``(key, slots, repeats)`` under ``image``: False when one of them has
+    none."""
+    supports = target.supports
+    for key, slots, repeats in atoms:
+        found = supports(key, slots, repeats, image)
         if found is None:
-            return None
+            return False
         for s, values in found:
-            v = slots.get(s)
-            if v is not None:
-                current = domains.get(v)
-                domains[v] = values if current is None else current & values
-    return domains
+            current = domains[s]
+            domains[s] = values if current is None else current & values
+    return True
 
 
 def _search(
@@ -403,7 +419,6 @@ def _run(
     injective = used is not None
 
     # root pass: every atom must have support, var domains start narrowed
-    supports = target.supports
     domains: list = [None] * len(image)
     for columns, slots in source.by_columns.items():
         common = None
@@ -414,13 +429,8 @@ def _run(
             common = values if common is None else common & values
         for s in slots:
             domains[s] = common
-    for key, slots, repeats in source.fixed_atoms:
-        found = supports(key, slots, repeats, image)
-        if found is None:
-            return None
-        for s, values in found:
-            current = domains[s]
-            domains[s] = values if current is None else current & values
+    if not _intersect_supports(target, source.fixed_atoms, image, domains):
+        return None
     by_rank = source.by_rank
     for s in by_rank:
         if injective:
@@ -429,7 +439,7 @@ def _run(
             return None
 
     # open slots by candidate count, each bucket a sorted list of name ranks
-    rank, by_var = source.rank, source.by_var
+    rank, by_var, supports = source.rank, source.by_var, target.supports
     buckets: dict[int, list[int]] = {}
     for r, s in enumerate(by_rank):
         buckets.setdefault(len(domains[s]), []).append(r)
@@ -611,84 +621,69 @@ def fold_formula(phi: Formula) -> Formula:
     1977; Hell & Nesetril, 1992), limited to one variable at a time, so
     it needs no search; the result may still be larger than the core.
 
-    Bound variables are tried in name order, each candidate w taken from
-    one atom of v through a (predicate, position, value) index and tried
-    in ``term_key`` order.  When v folds, the bound variables it shared
-    an atom with are tried again: dropping atoms only frees them.  Which
-    variables fold does not depend on the atom the candidates come from,
-    so the result is the same in every process.  Terms are numbered in
-    ``term_key`` order, and an atom is the tuple of its predicate and its
-    terms' numbers.
+    This is the ``Formula`` face of ``_fold``, which the sweeps run on
+    numbered rows.
     """
-    terms = sorted({t for a in phi.atoms for t in a.args}, key=term_key)
-    number = {t: i for i, t in enumerate(terms)}
-    free = {number[v] for v in phi.free_vars}
-    rows: dict[tuple, Atom] = {}  # numbered atom -> the input's atom
-    holding: dict[int, set[tuple]] = {}  # bound variable -> the atoms holding it
-    index: dict[tuple, set[tuple]] = {}  # (pred, arity, pos, term) -> atoms
-    for a in phi.atoms:
-        row = (a.pred, *[number[t] for t in a.args])
-        rows[row] = a
-        n = len(row)
-        for pos in range(1, n):
-            t = row[pos]
-            index.setdefault((a.pred, n, pos, t), set()).add(row)
-            if t not in free and is_var(terms[t]):
-                holding.setdefault(t, set()).add(row)
-    # term numbers of variables follow their names
-    queue = sorted(holding)
-    queued = set(queue)
+    atoms = list(phi.atoms)
+    terms, rows = _numbered(atoms)
+    kept = _fold(terms, rows, phi.free_vars)
+    if len(kept) == len(rows):
+        return phi
+    atom_of = dict(zip(rows, atoms))
+    return Formula(phi.free_vars, [atom_of[row] for row in kept])
+
+
+def _fold(terms: list, rows: list, free: Iterable) -> list:
+    """The rows ``(pred, args)``, each argument the number of a term, that
+    ``fold_formula`` keeps, in their given order; ``free`` holds the free
+    variables.
+
+    The test of v is the kernel's root pass with v the one open slot:
+    every other term fixed to itself, the supports of the rows holding v
+    intersected over a ``_Target`` of the rows kept so far.  v itself is
+    always supported, since those rows are in the target, so v folds when
+    anything else is.  Bound variables are tried in name order.  When v
+    folds, the bound variables it shared a row with are tried again:
+    dropping rows only frees them.  So which variables fold depends only
+    on the atoms and the variables' names, not on the numbering.
+    """
+    free = set(free)
+    bound = [is_var(t) and t not in free for t in terms]
+    holding: dict[int, set] = {}  # bound variable -> the kept rows holding it
+    target = _Target(())
+    for row in rows:
+        target.add(*row)
+        for s in row[1]:
+            if bound[s]:
+                holding.setdefault(s, set()).add(row)
+    order = sorted(holding, key=lambda s: terms[s].name)
+    rank = {s: r for r, s in enumerate(order)}
+    queue = list(range(len(order)))  # ranks, already a heap
+    queued = set(order)
+    image: list = list(range(len(terms)))
+    domains: list = [None] * len(terms)
+    dropped: set = set()
     while queue:
-        v = heapq.heappop(queue)
+        v = order[heapq.heappop(queue)]
         queued.discard(v)
         held = holding[v]
-        if not _folds(v, held, rows, index):
+        image[v] = None
+        atoms = [((pred, len(args)), args, len(set(args)) < len(args)) for pred, args in held]
+        folds = _intersect_supports(target, atoms, image, domains) and len(domains[v]) > 1
+        image[v], domains[v] = v, None
+        if not folds:
             continue
         del holding[v]
+        dropped |= held
         for row in held:
-            del rows[row]
-            n = len(row)
-            for pos in range(1, n):
-                t = row[pos]
-                index[(row[0], n, pos, t)].discard(row)
+            target.discard(*row)
+            for t in row[1]:
                 if t in holding:  # v's own entry is gone
                     holding[t].discard(row)
                     if t not in queued:
                         queued.add(t)
-                        heapq.heappush(queue, t)
-    if len(rows) == len(phi.atoms):
-        return phi
-    return Formula(phi.free_vars, rows.values())
-
-
-def _folds(v: int, held: set[tuple], rows: dict, index: dict) -> bool:
-    """Is there a w != v such that {v -> w} maps every atom of ``held``
-    (the numbered atoms holding v) onto one of ``rows``?  Candidates come
-    from the atom with the fewest index matches on a position without v,
-    or from every atom of its predicate when each position holds v."""
-    best = None
-    for row in held:
-        n = len(row)
-        for pos in range(1, n):
-            if row[pos] != v:
-                found = index.get((row[0], n, pos, row[pos]), ())
-                if best is None or len(found) < len(best[1]):
-                    best = (row, found)
-    if best is None:  # as top(v) or r(v,v)
-        row = next(iter(held))
-        found = [r for r in rows if r[0] == row[0] and len(r) == len(row)]
-    else:
-        row, found = best
-    at = row.index(v, 1)
-    candidates = {
-        r[at] for r in found
-        if all(rt == r[at] if t == v else rt == t for t, rt in zip(row, r))
-    }
-    candidates.discard(v)
-    return any(
-        all(tuple(w if t == v else t for t in r) in rows for r in held)
-        for w in sorted(candidates)
-    )
+                        heapq.heappush(queue, rank[t])
+    return [row for row in rows if row not in dropped] if dropped else rows
 
 
 def evaluate(phi: Formula, dataset: Dataset, budget: int | None = None):
@@ -790,12 +785,28 @@ def iter_instances(
     """The candidates that are instances of phi, lazily and in the given
     order; each is decided as ``tuple_membership`` decides it.
 
-    The sweep compiles ``fold_formula(phi)``, which has the same instances
-    and rules out the same tuples before their summaries are selected, so
-    the answers and the errors raised are unchanged.  ``budget`` caps each
-    search of the folded formula: node counts, and the point where
-    ``BudgetExceeded`` is raised, differ from searches of phi itself."""
-    return filter(membership_test(fold_formula(phi), kb, budget), candidates)
+    The sweep compiles the rows that ``fold_formula(phi)`` keeps, which
+    have the same instances and rule out the same tuples before their
+    summaries are selected, so the answers and the errors raised are
+    unchanged.  ``budget`` caps each search of the folded rows: node
+    counts, and the point where ``BudgetExceeded`` is raised, differ from
+    searches of phi itself."""
+    return _sweep(phi.free_vars, *_numbered(phi.atoms), kb, candidates, budget)
+
+
+def _sweep(
+    head,
+    terms: list,
+    rows: list,
+    kb: SelectiveKB,
+    candidates: Iterable[ConstTuple],
+    budget: int | None = None,
+) -> Iterator[ConstTuple]:
+    """``iter_instances`` of the formula with free variables ``head`` and
+    the numbered rows ``(pred, args)`` over ``terms``: the folded rows
+    compiled once, no formula built."""
+    source = _Source(terms, _fold(terms, rows, head), head)
+    return filter(_membership_test(source, head, kb, budget), candidates)
 
 
 def instances(
@@ -805,8 +816,8 @@ def instances(
 ) -> set[ConstTuple]:
     """All tuples over the dataset domain that the formula matches within
     their own summaries.  Always a subset of evaluate(phi, kb.dataset).
-    A sweep of ``iter_instances``: it searches the folded formula, with
-    the same answers, and ``budget`` caps each of those searches."""
+    A sweep of ``iter_instances``: it searches the folded rows, with the
+    same answers, and ``budget`` caps each of those searches."""
     if phi.arity < 1:
         raise ArityMismatch("instance sets need an open formula")
     space = itertools.product(sorted(kb.dataset.domain), repeat=phi.arity)
@@ -879,9 +890,9 @@ def core_of_formula(
         for a in block:
             source_of[a] = source
     for alpha in sorted(source_of, key=Atom.key):
-        target.discard(alpha)
+        target.discard(alpha.pred, alpha.args)
         if _run(source_of[alpha], target, pins, budget) is None:
-            target.add(alpha)
+            target.add(alpha.pred, alpha.args)
         else:
             atoms.discard(alpha)
     out = Formula(phi.free_vars, atoms)

@@ -307,10 +307,11 @@ class SelectorSpec:
     one-hop properties, lifted pointwise to n-ary tuples), and
     ``neighborhood(r)`` (r-hop reachability; ``component`` is the
     unbounded variant).  ``table`` pins explicit summaries for chosen
-    tuples, and ``custom`` wraps an externally supplied callable.
+    tuples, every other tuple getting the whole dataset, and ``custom``
+    wraps an externally supplied callable.
     """
 
-    __slots__ = ("strategy", "radius", "table", "fn", "fallback")
+    __slots__ = ("strategy", "radius", "table", "fn")
 
     def __init__(
         self,
@@ -318,19 +319,19 @@ class SelectorSpec:
         radius: int | None = None,
         table: Mapping[ConstTuple, Dataset] | None = None,
         fn: Callable[[Dataset, ConstTuple], Iterable[Atom]] | None = None,
-        fallback: "SelectorSpec | None" = None,
     ):
         if strategy not in ("full", "sigma0", "neighborhood", "component", "table", "custom"):
             raise ParseError(f"unknown selector strategy {strategy!r}")
         if strategy == "neighborhood" and (radius is None or radius < 1):
             raise ParseError("neighborhood selector needs a positive radius")
+        if strategy == "table" and table is None:
+            raise ParseError("table selector needs a table")
         if strategy == "custom" and fn is None:
             raise ParseError("custom selector needs a callable")
         self.strategy = strategy
         self.radius = radius
         self.table = dict(table) if table is not None else None
         self.fn = fn
-        self.fallback = fallback
 
     @classmethod
     def full(cls) -> "SelectorSpec":
@@ -349,10 +350,8 @@ class SelectorSpec:
         return cls("component")
 
     @classmethod
-    def from_table(
-        cls, table: Mapping[ConstTuple, Dataset], fallback: "SelectorSpec | None" = None
-    ) -> "SelectorSpec":
-        return cls("table", table=table, fallback=fallback or cls.full())
+    def from_table(cls, table: Mapping[ConstTuple, Dataset]) -> "SelectorSpec":
+        return cls("table", table=table)
 
     @classmethod
     def custom(cls, fn: Callable[[Dataset, ConstTuple], Iterable[Atom]]) -> "SelectorSpec":
@@ -391,9 +390,7 @@ class SelectorSpec:
             return _neighborhood(dataset, tau, -1)
         if self.strategy == "table":
             hit = self.table.get(tuple(tau))
-            if hit is not None:
-                return set(hit.atoms)
-            return self.fallback.select(dataset, tau)
+            return set(dataset.atoms if hit is None else hit.atoms)
         return set(self.fn(dataset, tau))
 
 

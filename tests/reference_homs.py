@@ -11,11 +11,15 @@ from the code it was replaced by:
   searches the whole formula, into a fresh index of all atoms but the one
   tested;
 * ``membership_test`` as it was before the dataset filter: every tuple's
-  summary is selected and indexed.
+  summary is selected and indexed;
+* ``fold_formula`` as it was before the fold asked the kernel's index:
+  its own ``(pred, arity, pos, term)`` index, its own term numbering in
+  ``term_key`` order, and ``_folds`` trying each candidate image in turn.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from collections.abc import Callable, Iterable
 
@@ -235,3 +239,100 @@ def membership_test(
         return _run(source, _Target(summary.atoms), pins, budget) is not None
 
     return is_instance
+
+
+def fold_formula(phi: Formula) -> Formula:
+    """Drop one-variable retractions until none is left.
+
+    A bound variable v folds when some term w other than v makes the map
+    {v -> w}, the identity elsewhere, send every atom holding v onto an
+    atom of the formula; the atoms holding v are then dropped.  The
+    result is a subset of phi's atoms (the same ``Atom`` objects) with the
+    same free variables, and hom-equivalent to phi: the map sends phi into
+    the subset, and a subset maps into phi.  So it has the same output
+    over every dataset and the same instance set under every selector.
+    It also allows the same values to each free variable in
+    ``_free_domains``: a dropped atom's image holds the same free
+    variables at the same positions and is at least as constrained.  This
+    is the classical retraction step towards the core (Chandra & Merlin,
+    1977; Hell & Nesetril, 1992), limited to one variable at a time, so
+    it needs no search; the result may still be larger than the core.
+
+    Bound variables are tried in name order, each candidate w taken from
+    one atom of v through a (predicate, position, value) index and tried
+    in ``term_key`` order.  When v folds, the bound variables it shared
+    an atom with are tried again: dropping atoms only frees them.  Which
+    variables fold does not depend on the atom the candidates come from,
+    so the result is the same in every process.  Terms are numbered in
+    ``term_key`` order, and an atom is the tuple of its predicate and its
+    terms' numbers.
+    """
+    terms = sorted({t for a in phi.atoms for t in a.args}, key=term_key)
+    number = {t: i for i, t in enumerate(terms)}
+    free = {number[v] for v in phi.free_vars}
+    rows: dict[tuple, Atom] = {}  # numbered atom -> the input's atom
+    holding: dict[int, set[tuple]] = {}  # bound variable -> the atoms holding it
+    index: dict[tuple, set[tuple]] = {}  # (pred, arity, pos, term) -> atoms
+    for a in phi.atoms:
+        row = (a.pred, *[number[t] for t in a.args])
+        rows[row] = a
+        n = len(row)
+        for pos in range(1, n):
+            t = row[pos]
+            index.setdefault((a.pred, n, pos, t), set()).add(row)
+            if t not in free and is_var(terms[t]):
+                holding.setdefault(t, set()).add(row)
+    # term numbers of variables follow their names
+    queue = sorted(holding)
+    queued = set(queue)
+    while queue:
+        v = heapq.heappop(queue)
+        queued.discard(v)
+        held = holding[v]
+        if not _folds(v, held, rows, index):
+            continue
+        del holding[v]
+        for row in held:
+            del rows[row]
+            n = len(row)
+            for pos in range(1, n):
+                t = row[pos]
+                index[(row[0], n, pos, t)].discard(row)
+                if t in holding:  # v's own entry is gone
+                    holding[t].discard(row)
+                    if t not in queued:
+                        queued.add(t)
+                        heapq.heappush(queue, t)
+    if len(rows) == len(phi.atoms):
+        return phi
+    return Formula(phi.free_vars, rows.values())
+
+
+def _folds(v: int, held: set[tuple], rows: dict, index: dict) -> bool:
+    """Is there a w != v such that {v -> w} maps every atom of ``held``
+    (the numbered atoms holding v) onto one of ``rows``?  Candidates come
+    from the atom with the fewest index matches on a position without v,
+    or from every atom of its predicate when each position holds v."""
+    best = None
+    for row in held:
+        n = len(row)
+        for pos in range(1, n):
+            if row[pos] != v:
+                found = index.get((row[0], n, pos, row[pos]), ())
+                if best is None or len(found) < len(best[1]):
+                    best = (row, found)
+    if best is None:  # as top(v) or r(v,v)
+        row = next(iter(held))
+        found = [r for r in rows if r[0] == row[0] and len(r) == len(row)]
+    else:
+        row, found = best
+    at = row.index(v, 1)
+    candidates = {
+        r[at] for r in found
+        if all(rt == r[at] if t == v else rt == t for t, rt in zip(row, r))
+    }
+    candidates.discard(v)
+    return any(
+        all(tuple(w if t == v else t for t in r) in rows for r in held)
+        for w in sorted(candidates)
+    )

@@ -1,8 +1,9 @@
 """Decisions search the canonical characterization as assembled, its
 variables named after their product constants; only printed formulas are
 canonically renamed.  A single membership (``ess_member``, so the
-comparison gadgets) compiles the search source straight from the rows of
-the product walk and builds no formula.
+comparison gadgets) and a sweep (``ess_set``, ``is_definable``) compile
+the search source straight from the rows of the product walk and build no
+formula.
 
 Differential tests require every decision to answer as the kernel does on
 ``build_can``'s renamed can, and the source compiled from the rows to equal,
@@ -195,9 +196,10 @@ def test_parks_rows_compile_as_the_formula(parks_dataset, tuples, selector):
 
 
 def test_decisions_build_no_formula(parks_kb, parks_dataset, parks_unit, monkeypatch):
-    """``ess_member`` and ``compare`` compile the rows of the product walk:
-    no call of ``_can_from_tuples`` through any engine binding of it, and
-    no ``Formula`` at all."""
+    """``ess_member``, ``compare`` and the sweeps ``is_definable`` and
+    ``ess_set`` compile the rows of the product walk: no call of
+    ``_can_from_tuples`` through any engine binding of it, and no
+    ``Formula`` at all."""
     calls = []
 
     def counting(*args):
@@ -222,9 +224,9 @@ def test_decisions_build_no_formula(parks_kb, parks_dataset, parks_unit, monkeyp
     assert ess_member(arity2, parks_kb, ("Epcot", "Florida"))
     assert compare(parks_kb, parks_unit, ("Gardaland",), ("Leolandia",)) == PREC
     assert calls == [] and formulas == []
-    # sweeps still search a formula, and the counters see it
     assert is_definable(parks_unit, parks_kb)
-    assert len(calls) == 1 and formulas
+    assert ess_set(parks_unit, parks_kb) == {("Discovery_Cove",), ("Epcot",)}
+    assert calls == [] and formulas == []
 
 
 # Memberships that reach a search: the 3-col reductions of small graphs

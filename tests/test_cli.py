@@ -132,21 +132,28 @@ def test_eg_dot_and_json(capsys, tmp_path):
 
 def test_outputs_deterministic_including_threads(capsys, tmp_path):
     outputs = []
-    for threads in ("1", "4", "1"):
-        dot = tmp_path / f"eg{len(outputs)}.dot"
+    for run_number in range(3):
+        dot = tmp_path / f"eg{run_number}.dot"
         code, out, _ = invoke(
-            capsys, "eg", FACTS, UNIT, "--selector", "sigma0",
-            "--threads", threads, "--dot", str(dot),
+            capsys, "eg", FACTS, UNIT, "--selector", "sigma0", "--dot", str(dot),
         )
         assert code == 0
         outputs.append((out, dot.read_text()))
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-def test_can_stream_flag_same_output(capsys):
-    _, plain, _ = invoke(capsys, "can", FACTS, UNIT, "--selector", "sigma0")
-    _, streamed, _ = invoke(capsys, "can", FACTS, UNIT, "--selector", "sigma0", "--stream")
-    assert plain == streamed
+@pytest.mark.parametrize("argv", [
+    ("can", "--stream"),
+    ("core", "--stream"),
+    ("eg", "--threads", "4"),
+    ("def", "--threads", "1"),
+], ids=["can-stream", "core-stream", "eg-threads", "def-threads"])
+def test_removed_flags_are_rejected(capsys, argv):
+    command, *flags = argv
+    with pytest.raises(SystemExit) as exit_info:
+        run([command, FACTS, UNIT, "--selector", "sigma0", *flags])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_gen_prime_cycles_roundtrip(capsys, tmp_path):

@@ -1,7 +1,7 @@
 """Folded sweeps: ``fold_formula`` drops one-variable retractions, and the
-instance sweeps search the folded formula.  Checked against the input
-formula, the brute oracles, a brute-force fixpoint test and the unfolded
-reference sweep."""
+instance sweeps search the folded rows.  Checked against the input
+formula, the brute oracles, a brute-force fixpoint test, the reference
+fold and the unfolded reference sweep."""
 
 import itertools
 import os
@@ -109,6 +109,23 @@ def test_folded_cans_sweep_like_their_cores(seed, selector, arity):
     if len(core.vars) <= 6:  # at most 4^6 assignments per summary
         assert got == brute_instances(core, kb)
         assert output == brute_evaluate(core, kb.dataset)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    selector=st.sampled_from(SELECTORS),
+    arity=st.integers(1, 2),
+)
+def test_the_fold_keeps_the_reference_atoms(seed, selector, arity):
+    """The fold on numbered rows, asked of the kernel's index, drops the
+    same atoms as the reference fold with its own index."""
+    kb = make_kb(seed, selector)
+    rng = random.Random(seed)
+    phi = random_formula(kb, rng, max_atoms=8, max_arity=arity)
+    can = build_can(random_unit(kb, rng, max_arity=arity, max_size=2), kb)
+    for psi in (phi, can):
+        assert fold_formula(psi).atoms == reference_homs.fold_formula(psi).atoms
 
 
 def test_a_fold_frees_its_neighbours():

@@ -226,6 +226,16 @@ def test_empty_table_falls_back(parks_dataset):
     assert kb.summary(("Epcot",)) == parks_dataset
 
 
+def test_table_selector_built_directly_falls_back(parks_dataset):
+    kb = SelectiveKB(parks_dataset, SelectorSpec("table", table={}))
+    assert kb.summary(("Epcot",)) == parks_dataset
+
+
+def test_table_selector_needs_a_table():
+    with pytest.raises(ParseError):
+        SelectorSpec("table")
+
+
 def test_neighborhood_selector(parks_dataset):
     kb1 = SelectiveKB(parks_dataset, SelectorSpec.neighborhood(1))
     s1 = kb1.summary(("Florida",))
