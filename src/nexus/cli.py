@@ -2,7 +2,8 @@
 
 Decision commands (def, ess, prec, sim, inc) print yes/no and exit 0/1;
 functional commands write their artifact to stdout or --out; any module
-error becomes a machine-readable record on stderr with exit code 2.
+error, and a negative --budget, --cap or --samples, becomes a
+machine-readable record on stderr with exit code 2.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .characterize import build_can, build_core_char
-from .errors import NexusError
+from .errors import NexusError, ParseError
 from .expansion import (
     build_expansion_graph,
     compare,
@@ -312,6 +313,11 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name in ("budget", "cap", "samples"):
+            value = getattr(args, name, None)
+            if value is not None and value < 0:
+                raise ParseError(f"--{name} must not be negative, got {value}",
+                                 option=f"--{name}")
         if hasattr(args, "wanted"):
             return args.fn(args, args.wanted)
         return args.fn(args)
@@ -327,3 +333,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -20,7 +20,8 @@ the graph builder's ess(U)) first folds them (``homs._sweep``), dropping
 one-variable retractions with a root pass of the kernel per variable.
 Only the graph's classification builds each can of ``U + tau`` as a
 formula (``characterize._can_from_tuples``), because the class
-representatives are kept, compared and cored.
+representatives are kept, compared and cored.  It decides tuples out of
+term order, so it filters them as the sweeps' candidates are filtered.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ from dataclasses import dataclass
 from .characterize import _assemble, _can_from_tuples
 from .errors import MixedArity, OverlapWithUnit, TupleSpaceTooLarge
 from .formulas import Formula, canonical_rename, to_text
-from .homs import _membership_test, _Source, _sweep, core_of_formula, equivalent, membership_test
+from .homs import (
+    _dataset_target, _free_domains, _membership_test, _Source, _sweep, core_of_formula, equivalent,
+)
 from .kb import ConstTuple, SelectiveKB, Unit, validate_unit
 
 
@@ -40,19 +43,13 @@ def is_definable(unit: Unit, kb: SelectiveKB, budget: int | None = None) -> bool
     """Does some explanation have exactly this unit as its instance set?
 
     Equivalently: no tuple outside the unit is an instance of its
-    canonical characterization, swept as assembled.  The answer is that
+    canonical characterization, swept as assembled (``homs._sweep``) until
+    the first one is found; no unit tuple is searched.  The answer is that
     of the renamed ``build_can``; node counts and the point where
     ``budget`` runs out differ, since the kernel breaks ties by name.
     """
-    space = itertools.product(sorted(kb.dataset.domain), repeat=unit.arity)
-    outside = (tau for tau in space if tau not in unit.tuples)
-    return next(_can_sweep(unit, kb, outside, budget), None) is None
-
-
-def _can_sweep(unit: Unit, kb: SelectiveKB, candidates, budget: int | None):
-    """The candidates in the unit's essential expansion, lazily: a sweep
-    of the rows of its canonical characterization as assembled."""
-    return _sweep(*_assemble(unit.sorted_tuples(), kb), kb, candidates, budget)
+    return next(_sweep(*_assemble(unit.sorted_tuples(), kb), kb, budget, unit.tuples),
+                None) is None
 
 
 def ess_member(
@@ -64,22 +61,21 @@ def ess_member(
     (``characterize._assemble``), so no formula is built.  The answer is
     that of the renamed ``build_can``; node counts and the point where
     ``budget`` runs out differ, since the kernel breaks ties by name.
-    Like ``homs.tuple_membership`` it skips the sweeps' dataset-wide
-    pre-filter, so a custom selector is consulted for tau.
+    Like ``homs.tuple_membership`` it runs no dataset-wide filter first,
+    so a custom selector is consulted for tau.
     """
     head, terms, rows = _assemble(unit.sorted_tuples(), kb)
-    return _membership_test(_Source(terms, rows, head), head, kb, budget, sweep=False)(
-        tuple(tau))
+    return _membership_test(_Source(terms, rows, head), head, kb, budget)(tuple(tau))
 
 
 def ess_set(unit: Unit, kb: SelectiveKB, budget: int | None = None) -> set[ConstTuple]:
     """The smallest definable superset of the unit: the instance set of
-    its canonical characterization, swept as assembled.  The set is that
-    of the renamed ``build_can``; node counts and the point where
-    ``budget`` runs out differ, since the kernel breaks ties by name.
+    its canonical characterization, swept as assembled (``homs._sweep``):
+    only the tuples the dataset allows are searched.  The set is that of
+    the renamed ``build_can``; node counts and the point where ``budget``
+    runs out differ, since the kernel breaks ties by name.
     """
-    space = itertools.product(sorted(kb.dataset.domain), repeat=unit.arity)
-    return set(_can_sweep(unit, kb, space, budget))
+    return set(_sweep(*_assemble(unit.sorted_tuples(), kb), kb, budget))
 
 
 def _extended(unit: Unit, kb: SelectiveKB, tau: ConstTuple) -> Unit:
@@ -235,6 +231,10 @@ class _Closures:
         self.members: dict[frozenset, list[ConstTuple]] = {}  # E -> its tuples
 
     def infer(self, tau: ConstTuple, can: Formula, budget: int | None) -> frozenset:
+        """E(tau), from known facts and pinned searches of ``can``, the can
+        of U + tau.  A tuple with a value that the whole dataset does not
+        allow its head variable (``homs._free_domains``) is a non-member
+        before its summary is selected, and still settles ``outside``."""
         if tau in self.base:
             fingerprint = self.base
         else:
@@ -252,11 +252,15 @@ class _Closures:
             # if the bound is a known class, E(tau) is it exactly when that
             # class's representative is in E(tau)
             first = self.members[upper][:1] if upper in self.members else []
-            is_member = membership_test(can, self.kb, budget)
+            head = can.free_vars
+            source = _Source.of_atoms(can.atoms, head)
+            allowed = _free_domains(source, _dataset_target(self.kb.dataset), head)
+            is_member = _membership_test(source, head, self.kb, budget)
             for sigma in itertools.chain(first, sorted(upper)):
                 if sigma in inside or sigma in outside:
                     continue
-                if is_member(sigma):
+                if (allowed is not None and all(c in allowed[v] for v, c in zip(head, sigma))
+                        and is_member(sigma)):
                     inside.add(sigma)
                     inside.update(self.known.get(sigma, ()))
                 else:

@@ -23,8 +23,8 @@ Each node is cheap:
   core keeps one index of its current atoms for the whole pass, taking
   out and putting back one atom per test, and a whole dataset's index is
   built at most once per ``Dataset`` (``_dataset_target``), for
-  ``evaluate`` and for the sweep filter below.  A summary's index is never
-  kept.
+  ``evaluate`` and for the candidates of a sweep below.  A summary's index
+  is never kept.
 * After each choice, forward checking asks the target only about the
   atoms of the chosen variable that still have an open slot.  An atom
   whose variables are all assigned already holds: its last variable was
@@ -37,25 +37,29 @@ Each node is cheap:
   memory, not by the interpreter's recursion limit.
 * The source side is compiled once per formula (``_Source``): its terms
   numbered, so a search keeps its image in a list, and the variables'
-  name order and atoms fixed.  Sweeps over many tuples
-  (``membership_test``, ``instances``, ``iter_instances`` and
-  ``evaluate``) pay for it once.  The core compiles each block once,
+  name order and atoms fixed.  Sweeps over many tuples (``instances``
+  and ``evaluate``) pay for it once, and so does a decision function
+  from ``membership_test``.  The core compiles each block once,
   from its input, and never edits it.  Every decision about a canonical
   characterization (``expansion.ess_member``, so the comparison gadgets,
   and the sweeps ``expansion.ess_set`` and ``expansion.is_definable``)
   compiles the numbered rows of the product walk
   (``characterize._assemble``) and builds no formula.
-* A sweep rejects a tuple before selecting or indexing its summary when
-  some free variable's value is one that no atom holding it allows in the
-  whole dataset.  Summaries are sub-datasets, so such a tuple has no
-  homomorphism into its summary either.  A single-tuple decision
-  (``tuple_membership``, ``expansion.ess_member``) skips this filter: the
-  root pass into its summary rejects the same tuples, and the filter's
-  cost would not be shared.  No membership indexes a summary that lacks
-  a constant of the formula.
-* A sweep (``iter_instances``, so ``instances``, and the sweeps of a
-  canonical characterization) folds its numbered rows before compiling
-  them (``_fold``): the atoms of every bound variable that one
+* A sweep enumerates only its candidates (``_candidates``): the tuples,
+  in term order, whose every value is one that each atom holding its
+  free variable allows in the whole dataset.  Summaries are sub-datasets,
+  so no other tuple has a homomorphism into its summary.  ``evaluate``
+  searches each candidate in the dataset; every sweep (``instances``,
+  ``expansion.ess_set``, ``expansion.is_definable``) decides each as a
+  single tuple is decided (``_membership_test``): one pinned search into
+  its summary.  A single-tuple decision (``tuple_membership``,
+  ``membership_test``, ``expansion.ess_member``) runs no dataset-wide
+  filter: the root pass into its summary rejects the same tuples, and
+  the filter's cost would not be shared.  No membership indexes a
+  summary that lacks a constant of the formula.
+* A sweep (``_sweep``, so ``instances``, and the sweeps of a canonical
+  characterization) folds its numbered rows before compiling them
+  (``_fold``): the atoms of every bound variable that one
   substitution maps onto other atoms are dropped.  Each such test is a
   root pass of the kernel with one open variable, asked of a ``_Target``
   of the rows kept so far.  What is left is hom-equivalent to the input,
@@ -75,7 +79,7 @@ from dataclasses import dataclass, field
 
 from .errors import ArityMismatch, BudgetExceeded
 from .formulas import Formula, _atom_components, canonical_rename
-from .kb import Atom, ConstTuple, Dataset, SelectiveKB, Var, is_var, term_key
+from .kb import TOP, Atom, ConstTuple, Dataset, SelectiveKB, Var, is_var, term_key
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -686,6 +690,29 @@ def _fold(terms: list, rows: list, free: Iterable) -> list:
     return [row for row in rows if row not in dropped] if dropped else rows
 
 
+def _candidates(source: _Source, head: tuple, dataset: Dataset) -> Iterator[ConstTuple]:
+    """The tuples over ``head`` whose every value ``_free_domains`` allows
+    its variable over the whole dataset, in term order: nothing when some
+    atom holding a head variable has no support.  A repeated head variable
+    keeps one value.  ``source`` must be compiled with the head pinned.
+    No other tuple has a homomorphism into the dataset, or into a summary,
+    which is a sub-dataset.  A one-variable tuple ``(c,)`` is the argument
+    tuple of the dataset's atom ``top(c)``, so answer sets that callers
+    keep share it instead of holding a copy per answer."""
+    target = _dataset_target(dataset)
+    allowed = _free_domains(source, target, head)
+    if allowed is None:
+        return
+    if len(head) == 1:
+        for c in sorted(allowed[head[0]]):
+            yield target._holding((TOP, 1), 0, c)[0]
+        return
+    distinct = list(dict.fromkeys(head))
+    for combo in itertools.product(*[sorted(allowed[v]) for v in distinct]):
+        by_var = dict(zip(distinct, combo))
+        yield tuple([by_var[v] for v in head])
+
+
 def evaluate(phi: Formula, dataset: Dataset, budget: int | None = None):
     """The output of a formula over a dataset.
 
@@ -696,55 +723,31 @@ def evaluate(phi: Formula, dataset: Dataset, budget: int | None = None):
     target = _dataset_target(dataset)
     if phi.arity == 0:
         return _run(_Source.of_atoms(phi.atoms), target, {}, budget) is not None
-    distinct = phi.distinct_free_vars()
-    source = _Source.of_atoms(phi.atoms, distinct)
-    allowed = _free_domains(source, target, distinct)
-    if allowed is None:
-        return set()
-    candidates = [sorted(allowed[v]) for v in distinct]
-    out = set()
-    for combo in itertools.product(*candidates):
-        by_var = dict(zip(distinct, combo))
-        if _run(source, target, by_var, budget) is not None:
-            out.add(tuple(by_var[v] for v in phi.free_vars))
-    return out
+    head = phi.free_vars
+    source = _Source.of_atoms(phi.atoms, head)
+    return {tau for tau in _candidates(source, head, dataset)
+            if _run(source, target, dict(zip(head, tau)), budget) is not None}
 
 
 def membership_test(
     phi: Formula, kb: SelectiveKB, budget: int | None = None
 ) -> Callable[[ConstTuple], bool]:
-    """Compile phi once for a sweep; the returned function decides, for
-    one tuple, what ``tuple_membership`` decides: one pinned hom search
-    into its summary.
-
-    A tuple is rejected without selecting its summary when a value falls
-    outside what ``evaluate`` would allow its free variable over the whole
-    dataset: a summary is a sub-dataset, so a homomorphism into it would
-    be one into the dataset too.  A wrong-arity tuple still raises
-    ``ArityMismatch`` and a constant outside the dataset still raises
-    ``TupleOutsideDomain``.  A custom selector's ``SelectorViolation``
-    surfaces only for the tuples that are searched, because the others
-    never reach the selector.
-    """
+    """Compile phi once; the returned function decides, for one tuple,
+    what ``tuple_membership`` decides: one pinned hom search into its
+    summary.  A wrong-arity tuple raises ``ArityMismatch``, and a constant
+    outside the dataset raises ``TupleOutsideDomain`` when the summary is
+    selected; a tuple that gives a repeated head variable two values is
+    no instance, before either."""
     return _membership_test(_Source.of_atoms(phi.atoms, phi.free_vars), phi.free_vars, kb,
                             budget)
 
 
 def _membership_test(
-    source: _Source,
-    free_vars: tuple,
-    kb: SelectiveKB,
-    budget: int | None = None,
-    sweep: bool = True,
+    source: _Source, free_vars: tuple, kb: SelectiveKB, budget: int | None = None
 ) -> Callable[[ConstTuple], bool]:
     """``membership_test`` run from a compiled source and the free terms
-    it was compiled with pinned.  With ``sweep`` false it decides a single
-    tuple and skips the dataset-wide pre-filter: the root pass into the
-    summary rejects every tuple the filter would, and the filter's cost
-    could not be shared with other tuples."""
+    it was compiled with pinned."""
     arity = len(free_vars)
-    allowed = _free_domains(source, _dataset_target(kb.dataset), free_vars) if sweep else None
-    columns = None if allowed is None else [allowed[v] for v in free_vars]
     consts = {t for t in source.template if t is not None}
 
     def is_instance(tau: ConstTuple) -> bool:
@@ -755,9 +758,6 @@ def _membership_test(
             if pins.get(v, c) != c:
                 return False
             pins[v] = c
-        if sweep and (columns is None or any(c not in values for c, values in zip(tau, columns))):
-            kb.check_domain(tau)
-            return False
         summary = kb.summary(tau)
         if not consts <= summary.domain:
             return False
@@ -770,43 +770,26 @@ def tuple_membership(
     phi: Formula, kb: SelectiveKB, tau: ConstTuple, budget: int | None = None
 ) -> bool:
     """Is tau an instance of phi: one pinned hom search into its summary.
-    Unlike a sweep it has no dataset-wide pre-filter, so a custom selector
-    is consulted for tau even when the dataset rules it out."""
-    source = _Source.of_atoms(phi.atoms, phi.free_vars)
-    return _membership_test(source, phi.free_vars, kb, budget, sweep=False)(tau)
-
-
-def iter_instances(
-    phi: Formula,
-    kb: SelectiveKB,
-    candidates: Iterable[ConstTuple],
-    budget: int | None = None,
-) -> Iterator[ConstTuple]:
-    """The candidates that are instances of phi, lazily and in the given
-    order; each is decided as ``tuple_membership`` decides it.
-
-    The sweep compiles the rows that ``fold_formula(phi)`` keeps, which
-    have the same instances and rule out the same tuples before their
-    summaries are selected, so the answers and the errors raised are
-    unchanged.  ``budget`` caps each search of the folded rows: node
-    counts, and the point where ``BudgetExceeded`` is raised, differ from
-    searches of phi itself."""
-    return _sweep(phi.free_vars, *_numbered(phi.atoms), kb, candidates, budget)
+    No dataset-wide filter runs first, so a custom selector is consulted
+    for tau even when the dataset rules it out."""
+    return membership_test(phi, kb, budget)(tau)
 
 
 def _sweep(
-    head,
-    terms: list,
-    rows: list,
-    kb: SelectiveKB,
-    candidates: Iterable[ConstTuple],
-    budget: int | None = None,
+    head, terms: list, rows: list, kb: SelectiveKB, budget: int | None = None,
+    skip: frozenset = frozenset(),
 ) -> Iterator[ConstTuple]:
-    """``iter_instances`` of the formula with free variables ``head`` and
-    the numbered rows ``(pred, args)`` over ``terms``: the folded rows
-    compiled once, no formula built."""
+    """The instances but ``skip``, lazily and in term order, of the formula
+    with free variables ``head`` and the numbered rows ``(pred, args)``
+    over ``terms``.  The rows ``_fold`` keeps, which have the same
+    instances and candidates, are compiled once.  Each of the
+    ``_candidates`` is decided as ``tuple_membership`` decides it, and no
+    other tuple reaches the selector.  ``budget`` caps each search of the
+    folded rows, so node counts and budget points differ from the rows'."""
     source = _Source(terms, _fold(terms, rows, head), head)
-    return filter(_membership_test(source, head, kb, budget), candidates)
+    is_instance = _membership_test(source, head, kb, budget)
+    return (tau for tau in _candidates(source, head, kb.dataset)
+            if tau not in skip and is_instance(tau))
 
 
 def instances(
@@ -816,12 +799,11 @@ def instances(
 ) -> set[ConstTuple]:
     """All tuples over the dataset domain that the formula matches within
     their own summaries.  Always a subset of evaluate(phi, kb.dataset).
-    A sweep of ``iter_instances``: it searches the folded rows, with the
-    same answers, and ``budget`` caps each of those searches."""
+    A ``_sweep``: it searches the folded rows, with the same answers, and
+    ``budget`` caps each of those searches."""
     if phi.arity < 1:
         raise ArityMismatch("instance sets need an open formula")
-    space = itertools.product(sorted(kb.dataset.domain), repeat=phi.arity)
-    return set(iter_instances(phi, kb, space, budget))
+    return set(_sweep(phi.free_vars, *_numbered(phi.atoms), kb, budget))
 
 
 # ---------------------------------------------------------------------------

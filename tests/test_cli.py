@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -7,7 +10,8 @@ from nexus.cli import run
 from nexus.expansion import build_expansion_graph
 from nexus.kb import SelectiveKB, SelectorSpec, parse_facts, parse_unit_tuples, validate_unit
 
-DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DATA = ROOT / "data"
 FACTS = str(DATA / "parks.nxf")
 UNIT = str(DATA / "parks_unit.nxu")
 
@@ -130,16 +134,49 @@ def test_eg_dot_and_json(capsys, tmp_path):
     assert js.read_text() == build_expansion_graph(unit, kb).to_json()
 
 
-def test_outputs_deterministic_including_threads(capsys, tmp_path):
+def cli(*argv, hash_seed="0"):
+    """``python -m nexus.cli`` in a fresh interpreter."""
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run([sys.executable, "-m", "nexus.cli", *argv], env=env,
+                          capture_output=True, check=True)
+
+
+@pytest.mark.parametrize("unit", ["shipped", "florida-pairs"])
+def test_eg_outputs_identical_across_hash_seeds(tmp_path, unit):
+    """stdout, DOT and JSON of ``eg`` are the same bytes in two
+    interpreters with different string hashing."""
+    unit_path = UNIT
+    if unit == "florida-pairs":
+        unit_path = tmp_path / "pairs.nxu"
+        unit_path.write_text("(Discovery_Cove,Florida)\n(Epcot,Florida)\n")
     outputs = []
-    for run_number in range(3):
-        dot = tmp_path / f"eg{run_number}.dot"
-        code, out, _ = invoke(
-            capsys, "eg", FACTS, UNIT, "--selector", "sigma0", "--dot", str(dot),
-        )
-        assert code == 0
-        outputs.append((out, dot.read_text()))
-    assert outputs[0] == outputs[1] == outputs[2]
+    for hash_seed in ("0", "4242"):
+        dot, js = tmp_path / f"eg{hash_seed}.dot", tmp_path / f"eg{hash_seed}.json"
+        done = cli("eg", FACTS, str(unit_path), "--selector", "sigma0",
+                   "--dot", str(dot), "--json", str(js), hash_seed=hash_seed)
+        outputs.append((done.stdout, dot.read_bytes(), js.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].startswith(b"nodes: ")
+
+
+def test_the_module_runs_as_a_script():
+    done = cli("core", FACTS, UNIT, "--selector", "sigma0")
+    assert done.stdout.decode().count("<-") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("ess", FACTS, UNIT, "--selector", "sigma0", "--budget", "-1", "--t", "(Gardaland)"),
+    ("core", FACTS, UNIT, "--selector", "sigma0", "--budget", "-1"),
+    ("eg", FACTS, UNIT, "--selector", "sigma0", "--cap", "-1"),
+    ("selftest", "--samples", "-3"),
+], ids=["ess-budget", "core-budget", "eg-cap", "selftest-samples"])
+def test_negative_counts_are_rejected(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    record = json.loads(err)
+    assert record["error"] == "ParseError"
+    assert record["option"] in argv
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,12 +1,16 @@
-"""Differential tests: instance sweeps that reject, before selecting any
-summary, the tuples the whole dataset rules out, against the membership
-test that selected and indexed every tuple's summary
-(``reference_homs.membership_test``) and against the brute oracles.
-Single-tuple decisions, which skip that filter, are checked against the
-same reference."""
+"""Differential tests: instance sweeps that enumerate only the tuples the
+whole dataset allows, against the membership test that selected and
+indexed every tuple's summary (``reference_homs.membership_test``) and
+against the brute oracles.  Single-tuple decisions, which run no
+dataset-wide filter, are checked against the same reference.  The
+enumeration itself is checked against a brute per-tuple filter."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +22,8 @@ from nexus.errors import ArityMismatch, NexusError, SelectorViolation, TupleOuts
 from nexus.expansion import ess_member, is_definable
 from nexus.formulas import parse_formula
 from nexus.homs import evaluate, instances, membership_test, tuple_membership
-from nexus.kb import Atom, SelectiveKB, SelectorSpec, close_under_top
+from nexus.formulas import Formula
+from nexus.kb import Atom, SelectiveKB, SelectorSpec, close_under_top, is_var
 from nexus.oracles import (
     RandomSkbConfig, brute_evaluate, brute_instances, random_formula, random_skb, random_unit,
 )
@@ -136,8 +141,8 @@ def test_definability_matches_reference(seed, selector, arity):
 
 def test_filtered_tuples_keep_their_errors(parks_kb):
     """``located(x,Florida)`` rules out every constant but the Florida
-    parks, so these tuples are all rejected before any summary; the
-    errors are still raised."""
+    parks; each tuple is decided in its own summary, and the errors are
+    raised."""
     phi = parse_formula("x <- located(x,Florida)")
     is_member = membership_test(phi, parks_kb)
     assert is_member(("Epcot",)) and not is_member(("Gardaland",))
@@ -159,8 +164,9 @@ def test_a_repeated_head_variable_decides_before_the_domain():
 
 
 def test_a_selector_violation_surfaces_only_for_searched_tuples(parks_dataset):
-    """A custom selector that breaks the summary contract is only called
-    for tuples the dataset does not rule out."""
+    """A sweep asks a custom selector that breaks the summary contract only
+    for the tuples the dataset allows: the first Florida park raises, and
+    no constant before it in term order was asked."""
     asked = []
 
     def bad(dataset, tau):
@@ -168,12 +174,28 @@ def test_a_selector_violation_surfaces_only_for_searched_tuples(parks_dataset):
         return [Atom("made", ("up",))]
 
     kb = SelectiveKB(parks_dataset, SelectorSpec.custom(bad))
-    is_member = membership_test(parse_formula("x <- located(x,Florida)"), kb)
-    assert is_member(("Gardaland",)) is False
-    assert asked == []
     with pytest.raises(SelectorViolation):
-        is_member(("Epcot",))
-    assert asked == [("Epcot",)]
+        instances(parse_formula("x <- located(x,Florida)"), kb)
+    assert asked == [("Discovery_Cove",)]
+    assert sorted(parks_dataset.domain)[0] != "Discovery_Cove"
+
+
+def test_a_sweep_checks_the_domain_only_of_searched_tuples(parks_dataset, monkeypatch):
+    """The constants ``located(x,Florida)`` rules out are never
+    enumerated, so only the two Florida parks reach ``check_domain``, once
+    each, when their summaries are selected."""
+    checked = []
+    check_domain = SelectiveKB.check_domain
+
+    def recording(self, tau):
+        checked.append(tuple(tau))
+        return check_domain(self, tau)
+
+    monkeypatch.setattr(SelectiveKB, "check_domain", recording)
+    kb = SelectiveKB(parks_dataset, SelectorSpec.sigma0())
+    phi = parse_formula("x <- located(x,Florida)")
+    assert instances(phi, kb) == {("Discovery_Cove",), ("Epcot",)}
+    assert checked == [("Discovery_Cove",), ("Epcot",)]
 
 
 def test_the_dataset_index_is_built_once(parks_dataset):
@@ -203,15 +225,18 @@ def free_domain_calls(monkeypatch):
 
 
 def test_single_decisions_skip_the_sweep_filter(parks_kb, parks_unit, free_domain_calls):
-    """``ess_member`` and ``tuple_membership`` decide one tuple, so they
-    compute no dataset-wide domains; a sweep computes them once."""
+    """``ess_member``, ``tuple_membership`` and ``membership_test`` decide
+    one tuple at a time, so they compute no dataset-wide domains; a sweep
+    computes them once."""
     assert ess_member(parks_unit, parks_kb, ("Epcot",))
     assert not ess_member(parks_unit, parks_kb, ("Gardaland",))
     phi = parse_formula("x <- located(x,Florida)")
     assert tuple_membership(phi, parks_kb, ("Epcot",))
     assert not tuple_membership(phi, parks_kb, ("Gardaland",))
+    is_member = membership_test(phi, parks_kb)
+    assert is_member(("Epcot",)) and not is_member(("Gardaland",))
     assert free_domain_calls == []
-    membership_test(phi, parks_kb)
+    instances(phi, parks_kb)
     assert len(free_domain_calls) == 1
 
 
@@ -228,3 +253,129 @@ def test_a_single_decision_consults_the_selector(parks_dataset):
     with pytest.raises(SelectorViolation):
         tuple_membership(parse_formula("x <- located(x,Florida)"), kb, ("Gardaland",))
     assert asked == [("Gardaland",)]
+
+
+def dataset_allows(phi: Formula, dataset, tau) -> bool:
+    """The per-tuple test the sweeps once ran in front of every summary,
+    by brute force: a repeated head variable takes one value, every atom
+    holding a head variable unifies with some atom of the dataset, and
+    each value is one that every atom holding its variable takes there,
+    with the formula's constants fixed and its variables free."""
+    pins: dict = {}
+    for v, c in zip(phi.free_vars, tau):
+        if pins.setdefault(v, c) != c:
+            return False
+    for a in phi.atoms:
+        held = {t for t in a.args if is_var(t) and t in pins}
+        if not held:
+            continue
+        matches = []
+        for b in dataset.atoms:
+            if b.pred != a.pred or len(b.args) != len(a.args):
+                continue
+            match: dict = {}
+            if all(match.setdefault(t, c) == c if is_var(t) else t == c
+                   for t, c in zip(a.args, b.args)):
+                matches.append(match)
+        if not matches or any(pins[v] not in {m[v] for m in matches} for v in held):
+            return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    arity=st.integers(1, 2),
+    repeat=st.booleans(),
+    outside=st.booleans(),
+    nullary=st.sampled_from([None, "z", "w"]),
+)
+def test_candidates_are_the_tuples_the_dataset_allows(seed, arity, repeat, outside, nullary):
+    """``homs._candidates`` yields, in term order, exactly the tuples of
+    the space that pass the brute per-tuple filter, for the formula as
+    given and for the rows the sweeps fold it to.  Drawn over a signature
+    with a nullary predicate, with head variables repeated, with a
+    constant outside the dataset, and with a nullary atom the dataset
+    may lack (``w`` never holds)."""
+    kb = random_skb(RandomSkbConfig(
+        max_constants=4, predicates=(("p", 2), ("q", 1), ("z", 0)), atom_density=0.3, seed=seed,
+    ))
+    phi = random_formula(kb, random.Random(seed), max_atoms=4, max_arity=arity)
+    head, atoms = phi.free_vars, set(phi.atoms)
+    if repeat:
+        head = head + head[:1]
+    if outside:
+        atoms.add(Atom("p", (head[-1], "nowhere")))
+    if nullary:
+        atoms.add(Atom(nullary, ()))
+    phi = Formula(head, atoms)
+    dataset = kb.dataset
+    space = itertools.product(sorted(dataset.domain), repeat=len(head))
+    want = [tau for tau in space if dataset_allows(phi, dataset, tau)]
+    terms, rows = homs._numbered(phi.atoms)
+    for kept in (rows, homs._fold(terms, rows, head)):
+        source = homs._Source(terms, kept, head)
+        assert list(homs._candidates(source, head, dataset)) == want
+
+
+BUDGET_SCRIPT = """
+import sys
+from nexus import homs
+from nexus.errors import BudgetExceeded
+from nexus.expansion import ess_set, is_definable
+from nexus.kb import SelectiveKB, SelectorSpec, parse_facts, validate_unit
+
+dataset = parse_facts(open(sys.argv[1]).read())
+unit = validate_unit([("Discovery_Cove",), ("Leolandia",)], dataset)
+meters = []
+
+
+class Meter(homs._Budget):
+    def __init__(self, cap):
+        super().__init__(cap)
+        meters.append(self)
+
+
+homs._Budget = Meter
+for sweep in (ess_set, is_definable):
+    def run(budget):
+        return sweep(unit, SelectiveKB(dataset, SelectorSpec.full()), budget)
+
+    meters.clear()
+    answer = run(None)
+    most = max(meter.cap - meter.left for meter in meters)
+    assert run(most) == answer
+    try:
+        run(most - 1)
+    except BudgetExceeded:
+        print(sweep.__name__, most)
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "4242"])
+def test_a_sweep_fits_the_budget_of_its_largest_search(hash_seed):
+    """``budget`` caps each search of a sweep, not the sweep: ``ess_set``
+    and ``is_definable`` of a parks unit under ``full`` finish with the
+    node count M of their largest search and raise ``BudgetExceeded`` at
+    M - 1, under either hash seed."""
+    root = Path(__file__).resolve().parent.parent
+    path = filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run(
+        [sys.executable, "-c", BUDGET_SCRIPT, str(root / "data" / "parks.nxf")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    lines = done.stdout.split()
+    assert lines[0::2] == ["ess_set", "is_definable"]
+    assert all(int(most) > 0 for most in lines[1::2])
+
+
+def test_one_variable_answers_share_the_datasets_tuples(parks_dataset):
+    """An answer ``(c,)`` of a one-variable sweep is the argument tuple of
+    the dataset's ``top(c)``, so answer sets that are kept hold no tuple of
+    their own."""
+    kb = SelectiveKB(parks_dataset, SelectorSpec.sigma0())
+    top = {a.args[0]: a.args for a in parks_dataset.atoms if a.pred == "top"}
+    answers = instances(parse_formula("x <- located(x,Florida)"), kb)
+    assert answers == {("Discovery_Cove",), ("Epcot",)}
+    assert all(tau is top[tau[0]] for tau in answers)
