@@ -151,8 +151,8 @@ def _assemble(
     where a budget runs out are not.
 
     Every decision of a unit's can compiles these rows: ``ess_member``
-    as they stand, the sweeps ``ess_set`` and ``is_definable`` folded
-    (``homs._sweep``).  ``_can_from_tuples`` turns them into a formula.
+    and the graph's classification as they stand, the sweeps folded
+    (``homs._sweep``).  ``_formula`` turns them into a formula.
     """
     summaries = [kb.summary(t) for t in tuples]
     frees = product_tuples(tuples)
@@ -194,17 +194,19 @@ def _assemble(
             [(pred, tuple([number[t] for t in args])) for pred, args in kept])
 
 
+def _formula(head: list[Var], terms: list, rows: list[tuple[str, tuple[int, ...]]]) -> Formula:
+    """The formula of an ``_assemble`` result: its rows as atoms."""
+    return Formula(head, (Atom(pred, tuple([terms[t] for t in args])) for pred, args in rows))
+
+
 def _can_from_tuples(tuples: Sequence[ConstTuple], kb: SelectiveKB) -> Formula:
     """The canonical characterization of an explicitly ordered tuple
     sequence as assembled (``_assemble``), its variables named after their
     product constants (``x|a|b`` free, ``y|a|b`` bound).  Searches answer
     as on its renamed presentation; only printed formulas pay for the
-    renaming (``build_can``, the graph's class cores).  Its two callers
-    need a formula: ``build_can``, which prints it, and the expansion
-    graph's ``_class_of_tuple``, which keeps each class representative to
-    compare and core."""
-    head, terms, rows = _assemble(tuples, kb)
-    return Formula(head, (Atom(pred, tuple([terms[t] for t in args])) for pred, args in rows))
+    renaming (``build_can``, its one engine caller, and the graph's class
+    cores, which ``_formula`` builds from the rows the graph holds)."""
+    return _formula(*_assemble(tuples, kb))
 
 
 def build_can(unit: Unit, kb: SelectiveKB) -> Formula:

@@ -1,9 +1,9 @@
 """Command-line surface.
 
 Decision commands (def, ess, prec, sim, inc) print yes/no and exit 0/1;
-functional commands write their artifact to stdout or --out; any module
-error, and a negative --budget, --cap or --samples, becomes a
-machine-readable record on stderr with exit code 2.
+summarize, can, core and eg write their artifact to stdout or --out (all
+but eg take --format); any module error, and a negative --budget, --cap
+or --samples, becomes a machine-readable record on stderr with exit 2.
 """
 
 from __future__ import annotations
@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"nexus {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, unit=True):
+    def common(p, unit=True, out=False, formats=False):
         p.add_argument("facts", help="facts file (.nxf)")
         if unit:
             p.add_argument("unit", help="unit file (.nxu)")
@@ -245,24 +245,26 @@ def build_parser() -> argparse.ArgumentParser:
             help="full | sigma0 | component | neighborhood:<r> (default: full)",
         )
         p.add_argument("--budget", type=int, default=None, help="hom-search node cap")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--out", default=None, help="write output here instead of stdout")
+        if out:  # only where there is an artifact to write
+            p.add_argument("--out", default=None, help="write output here instead of stdout")
+        if formats:
+            p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("load-check", help="validate a facts file and print stats")
     common(p, unit=False)
     p.set_defaults(fn=cmd_load_check)
 
     p = sub.add_parser("summarize", help="print the summary of a tuple")
-    common(p, unit=False)
+    common(p, unit=False, out=True, formats=True)
     p.add_argument("--t", required=True, help='tuple, e.g. "(Epcot)"')
     p.set_defaults(fn=cmd_summarize)
 
     p = sub.add_parser("can", help="canonical characterization of the unit")
-    common(p)
+    common(p, out=True, formats=True)
     p.set_defaults(fn=cmd_can)
 
     p = sub.add_parser("core", help="core characterization of the unit")
-    common(p)
+    common(p, out=True, formats=True)
     p.set_defaults(fn=cmd_core)
 
     p = sub.add_parser("def", help="is the unit definable?")
@@ -282,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=_cmd_compare, wanted=wanted)
 
     p = sub.add_parser("eg", help="build the expansion graph")
-    common(p)
+    common(p, out=True)
     p.add_argument("--cap", type=int, default=100_000, help="tuple-space cap")
     p.add_argument("--dot", default=None, help="write DOT here")
     p.add_argument("--json", default=None, help="write JSON here")

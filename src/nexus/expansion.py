@@ -18,10 +18,10 @@ membership (``ess_member``, so the comparison gadgets) compiles them as
 they stand; a sweep over many tuples (``is_definable``, ``ess_set``, so
 the graph builder's ess(U)) first folds them (``homs._sweep``), dropping
 one-variable retractions with a root pass of the kernel per variable.
-Only the graph's classification builds each can of ``U + tau`` as a
-formula (``characterize._can_from_tuples``), because the class
-representatives are kept, compared and cored.  It decides tuples out of
-term order, so it filters them as the sweeps' candidates are filtered.
+The graph's classification compiles each can of ``U + tau`` once, as it
+stands, and checks it against its class representative too; it decides
+tuples out of term order, so it filters them as the sweeps' candidates
+are.  Only class representatives become formulas, to be cored.
 """
 
 from __future__ import annotations
@@ -29,12 +29,14 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .characterize import _assemble, _can_from_tuples
+from .characterize import _assemble, _formula
 from .errors import MixedArity, OverlapWithUnit, TupleSpaceTooLarge
 from .formulas import Formula, canonical_rename, to_text
 from .homs import (
-    _dataset_target, _free_domains, _membership_test, _Source, _sweep, core_of_formula, equivalent,
+    _dataset_target, _free_domains, _free_pins, _membership_test, _run, _Source, _sweep, _Target,
+    core_of_formula,
 )
 from .kb import ConstTuple, SelectiveKB, Unit, validate_unit
 
@@ -230,8 +232,8 @@ class _Closures:
         self.known: dict[ConstTuple, frozenset] = {}  # classified tuple -> E
         self.members: dict[frozenset, list[ConstTuple]] = {}  # E -> its tuples
 
-    def infer(self, tau: ConstTuple, can: Formula, budget: int | None) -> frozenset:
-        """E(tau), from known facts and pinned searches of ``can``, the can
+    def infer(self, tau: ConstTuple, can: _Can, budget: int | None) -> frozenset:
+        """E(tau), from known facts and pinned searches of the compiled can
         of U + tau.  A tuple with a value that the whole dataset does not
         allow its head variable (``homs._free_domains``) is a non-member
         before its summary is selected, and still settles ``outside``."""
@@ -252,14 +254,12 @@ class _Closures:
             # if the bound is a known class, E(tau) is it exactly when that
             # class's representative is in E(tau)
             first = self.members[upper][:1] if upper in self.members else []
-            head = can.free_vars
-            source = _Source.of_atoms(can.atoms, head)
-            allowed = _free_domains(source, _dataset_target(self.kb.dataset), head)
-            is_member = _membership_test(source, head, self.kb, budget)
+            allowed = _free_domains(can.source, _dataset_target(self.kb.dataset), can.head)
+            is_member = _membership_test(can.source, can.head, self.kb, budget)
             for sigma in itertools.chain(first, sorted(upper)):
                 if sigma in inside or sigma in outside:
                     continue
-                if (allowed is not None and all(c in allowed[v] for v, c in zip(head, sigma))
+                if (allowed is not None and all(c in allowed[v] for v, c in zip(can.head, sigma))
                         and is_member(sigma)):
                     inside.add(sigma)
                     inside.update(self.known.get(sigma, ()))
@@ -280,12 +280,36 @@ class _Closures:
         return fingerprint
 
 
+class _Can(NamedTuple):
+    """A can as assembled (``characterize._assemble``): its rows compiled
+    once with the head pinned, and indexed once as a search target."""
+
+    head: list
+    terms: list
+    rows: list
+    source: _Source
+    target: _Target
+
+    @classmethod
+    def of(cls, tuples: list[ConstTuple], kb: SelectiveKB) -> _Can:
+        head, terms, rows = _assemble(tuples, kb)
+        target = _Target(())
+        for pred, args in rows:
+            target.add(pred, tuple([terms[t] for t in args]))
+        return cls(head, terms, rows, _Source(terms, rows, head), target)
+
+    def maps_to(self, other: _Can, budget: int | None) -> bool:
+        """``homs.maps_to`` of the cans' formulas: the same search, nodes and budget point."""
+        pins = _free_pins(self.head, other.head)
+        return pins is not None and _run(self.source, other.target, pins, budget) is not None
+
+
 def _class_of_tuple(
     unit: Unit, kb: SelectiveKB, tau: ConstTuple, closures: _Closures, budget: int | None
 ):
-    """The canonical characterization of ``unit + tau`` and its instance
-    set, the fingerprint its class is grouped by."""
-    can = _can_from_tuples(sorted(unit.tuples | {tau}), kb)
+    """The compiled canonical characterization of ``unit + tau``
+    (``_Can``) and its instance set, the fingerprint its class is grouped by."""
+    can = _Can.of(sorted(unit.tuples | {tau}), kb)
     return can, closures.infer(tau, can, budget)
 
 
@@ -304,7 +328,7 @@ def build_expansion_graph(
     ess(U) takes ess(U) itself; tau is in E(tau); and sigma in E(tau)
     implies E(sigma) is a subset of E(tau), so one membership settles
     many (see ``_Closures``).  Still checked: every tuple's canonical
-    characterization is built and confirmed hom-equivalent to its class
+    characterization is confirmed hom-equivalent to its class
     representative, the first tuple of the class in space order; direct
     instances follow from subtracting each node's arc predecessors; and
     ``_check_invariants`` recomputes ess(U) on its own.  The unit's own
@@ -318,10 +342,10 @@ def build_expansion_graph(
     pinned at it, so into their product pinned at its free constants; it
     is nearly connected and sends constants to genes, so the image lies in
     the reachable part, can_i.  A map can_j -> can_i in turn gives E_i
-    within E_j.  Classification and equivalence search the cans as
-    assembled; each class representative is canonically renamed right
-    before it is cored, because the core's greedy order follows atom names:
-    so its printed core is that of ``build_core_char``.
+    within E_j.  Classification and equivalence search compiled cans
+    (``_Can``); a class representative becomes a formula only to be
+    renamed canonically and cored, as the core's greedy order follows atom
+    names: so its printed core is that of ``build_core_char``.
     ``budget`` caps each classification, equivalence and core search.
     """
     n = unit.arity
@@ -335,18 +359,19 @@ def build_expansion_graph(
     closures = _Closures(kb, space, frozenset(ess_set(unit, kb, budget)))
 
     # group by instance fingerprint, confirming each member by
-    # hom-equivalence to the first one
-    reps: dict[frozenset, Formula] = {}
+    # hom-equivalence to the first one, searched as ``homs.equivalent`` does
+    reps: dict[frozenset, _Can] = {}
     for tau in space:
         can, fingerprint = _class_of_tuple(unit, kb, tau, closures, budget)
         rep = reps.setdefault(fingerprint, can)
-        if rep is not can and not equivalent(can, rep, budget):
+        if rep is not can and not (can.maps_to(rep, budget) and rep.maps_to(can, budget)):
             raise AssertionError(
                 "tuples with equal instance sets landed in different classes"
             )
     classes = sorted(reps.items(), key=lambda item: sorted(item[0]))
 
-    cores = [core_of_formula(canonical_rename(can), budget) for _fp, can in classes]
+    cores = [core_of_formula(canonical_rename(_formula(can.head, can.terms, can.rows)), budget)
+             for _fp, can in classes]
 
     k = len(cores)
     fingerprints = [fingerprint for fingerprint, _can in classes]

@@ -19,12 +19,12 @@ Each node is cheap:
   built on first use, the tuples holding a given value at a given position
   and the set of values of each column.  An atom's supports come from the
   shortest tuple list of its fixed positions; a fully fixed atom is one
-  set lookup.  The index is built per search, with two exceptions: the
-  core keeps one index of its current atoms for the whole pass, taking
-  out and putting back one atom per test, and a whole dataset's index is
-  built at most once per ``Dataset`` (``_dataset_target``), for
-  ``evaluate`` and for the candidates of a sweep below.  A summary's index
-  is never kept.
+  set lookup.  The index is built per search, except that the core keeps
+  one index of its current atoms for the whole pass, taking out and
+  putting back one atom per test, a whole dataset's index is built at
+  most once per ``Dataset`` (``_dataset_target``), for ``evaluate`` and
+  the candidates of a sweep below, and the expansion graph indexes each
+  can once (``expansion._Can``).  A summary's index is never kept.
 * After each choice, forward checking asks the target only about the
   atoms of the chosen variable that still have an open slot.  An atom
   whose variables are all assigned already holds: its last variable was
@@ -42,9 +42,9 @@ Each node is cheap:
   from ``membership_test``.  The core compiles each block once,
   from its input, and never edits it.  Every decision about a canonical
   characterization (``expansion.ess_member``, so the comparison gadgets,
-  and the sweeps ``expansion.ess_set`` and ``expansion.is_definable``)
-  compiles the numbered rows of the product walk
-  (``characterize._assemble``) and builds no formula.
+  the sweeps ``expansion.ess_set`` and ``expansion.is_definable``, and
+  the expansion graph's classification and class check) compiles the
+  numbered rows of the product walk (``characterize._assemble``).
 * A sweep enumerates only its candidates (``_candidates``): the tuples,
   in term order, whose every value is one that each atom holding its
   free variable allows in the whole dataset.  Summaries are sub-datasets,
@@ -562,11 +562,11 @@ def _run(
 # Formula-level operations
 
 
-def _free_pins(phi1: Formula, phi2: Formula):
-    """Pins aligning the i-th free variable of phi1 with phi2's, or None
-    when a repeated head variable would need two images."""
+def _free_pins(head1, head2):
+    """Pins aligning the i-th variable of ``head1`` with ``head2``'s, or
+    None when a repeated head variable would need two images."""
     pins: dict = {}
-    for v1, v2 in zip(phi1.free_vars, phi2.free_vars):
+    for v1, v2 in zip(head1, head2):
         if pins.get(v1, v2) != v2:
             return None
         pins[v1] = v2
@@ -579,7 +579,7 @@ def maps_to(phi1: Formula, phi2: Formula, budget: int | None = None) -> bool:
         raise ArityMismatch(
             f"hom-order needs equal arities, got {phi1.arity} and {phi2.arity}"
         )
-    pins = _free_pins(phi1, phi2)
+    pins = _free_pins(phi1.free_vars, phi2.free_vars)
     if pins is None:
         return False
     return _search(phi1.atoms, phi2.atoms, pins, budget) is not None
@@ -602,7 +602,7 @@ def is_isomorphic(phi1: Formula, phi2: Formula, budget: int | None = None) -> bo
         return False
     if _signature(phi1) != _signature(phi2):
         return False
-    pins = _free_pins(phi1, phi2)
+    pins = _free_pins(phi1.free_vars, phi2.free_vars)
     if pins is None:
         return False
     return _search(phi1.atoms, phi2.atoms, pins, budget, injective=True) is not None

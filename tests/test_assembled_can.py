@@ -26,13 +26,13 @@ from hypothesis import assume, given, settings, strategies as st
 import nexus
 import reference_can
 from nexus.characterize import _assemble, _can_from_tuples, build_can
-from nexus.errors import NexusError
+from nexus.errors import BudgetExceeded, NexusError
 from nexus.expansion import (
-    INC, PREC, PREC_INV, SIM, build_expansion_graph, compare, ess_member, ess_set,
+    INC, PREC, PREC_INV, SIM, _Can, build_expansion_graph, compare, ess_member, ess_set,
     is_definable,
 )
 from nexus.formulas import Formula, canonical_rename
-from nexus.homs import _Source, instances, tuple_membership
+from nexus.homs import _Source, equivalent, instances, maps_to, tuple_membership
 from nexus.kb import (
     Atom, SelectiveKB, SelectorSpec, close_under_top, duplicate_columns, term_key,
     validate_unit,
@@ -159,15 +159,18 @@ def assert_compiles_as_the_formula(tuples, kb):
     assert source_shape(got) == source_shape(_Source.of_atoms(want.atoms, head))
 
 
-@settings(max_examples=150, deadline=None)
-@given(
+RANDOM_CANS = dict(
     seed=st.integers(0, 10_000),
     selector=st.sampled_from(["full", "sigma0", "component", "neighborhood:1"]),
     arity=st.integers(1, 3),
     gene=st.booleans(),
     data=st.data(),
 )
-def test_assembled_rows_compile_as_the_formula(seed, selector, arity, gene, data):
+
+
+def draw_kb_and_tuples(seed, selector, arity, gene, data):
+    """A random KB, its constants, and one to three tuples over them,
+    with one column a free gene when ``gene`` is set."""
     rng = random.Random(seed)
     consts = [f"e{i}" for i in range(1, rng.randint(3, 5) + 1)]
     atoms = [Atom(p, (s, o)) for p in ("p", "r") for s in consts for o in consts
@@ -180,8 +183,57 @@ def test_assembled_rows_compile_as_the_formula(seed, selector, arity, gene, data
     b = data.draw(st.sampled_from(consts))
     row = st.tuples(*[st.just(b) if i == column else st.sampled_from(consts)
                       for i in range(arity)])
-    tuples = data.draw(st.lists(row, min_size=1, max_size=3, unique=True))
+    return kb, consts, data.draw(st.lists(row, min_size=1, max_size=3, unique=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(**RANDOM_CANS)
+def test_assembled_rows_compile_as_the_formula(seed, selector, arity, gene, data):
+    kb, _consts, tuples = draw_kb_and_tuples(seed, selector, arity, gene, data)
     assert_compiles_as_the_formula(sorted(tuples), kb)
+
+
+NODES = 20_000  # a search between the cans of two arbitrary tuples can be hard
+
+
+def answer_and_nodes(search, *args):
+    """A search's outcome within ``NODES`` nodes, and the nodes it spent."""
+    spent = []
+    spend = nexus.homs._Budget.spend
+
+    def counting(meter):
+        spent.append(None)
+        spend(meter)
+
+    with mock.patch.object(nexus.homs._Budget, "spend", counting):
+        answer = outcome(search, *args, NODES)
+    return answer, len(spent)
+
+
+@settings(max_examples=100, deadline=None)
+@given(**RANDOM_CANS)
+def test_compiled_cans_map_as_their_formulas(seed, selector, arity, gene, data):
+    """The expansion graph's equivalence check on compiled cans answers
+    as ``maps_to`` between the formulas of can(U + tau) and can(U + sigma),
+    both ways, with the same node count n, and runs out of budget at the
+    same points.  A search of n nodes raises ``BudgetExceeded`` exactly at
+    the budgets below n, so budgets 0, n - 1 and n check every point.  A
+    search past ``NODES`` must run out there on both sides."""
+    kb, consts, unit = draw_kb_and_tuples(seed, selector, arity, gene, data)
+    extra = st.tuples(*[st.sampled_from(consts)] * arity)
+    tau, sigma = data.draw(extra), data.draw(extra)
+    sides = [sorted(set(unit) | {t}) for t in (tau, sigma)]
+    cans = [_Can.of(tuples, kb) for tuples in sides]
+    formulas = [_can_from_tuples(tuples, kb) for tuples in sides]
+    for i, j in ((0, 1), (1, 0)):
+        answer, nodes = answer_and_nodes(maps_to, formulas[i], formulas[j])
+        assert answer_and_nodes(cans[i].maps_to, cans[j]) == (answer, nodes)
+        if answer is BudgetExceeded:
+            continue
+        for budget in {0, max(nodes - 1, 0), nodes}:
+            want = outcome(maps_to, formulas[i], formulas[j], budget)
+            assert want == (BudgetExceeded if budget < nodes else answer)
+            assert outcome(cans[i].maps_to, cans[j], budget) == want, (i, budget)
 
 
 @pytest.mark.parametrize("selector", ["sigma0", "neighborhood:1", "full"])
@@ -195,21 +247,20 @@ def test_parks_rows_compile_as_the_formula(parks_dataset, tuples, selector):
     assert_compiles_as_the_formula(tuples, SelectiveKB(parks_dataset, SelectorSpec.parse(selector)))
 
 
-def test_decisions_build_no_formula(parks_kb, parks_dataset, parks_unit, monkeypatch):
-    """``ess_member``, ``compare`` and the sweeps ``is_definable`` and
-    ``ess_set`` compile the rows of the product walk: no call of
-    ``_can_from_tuples`` through any engine binding of it, and no
-    ``Formula`` at all."""
+@pytest.fixture
+def built(monkeypatch):
+    """The calls of ``_can_from_tuples`` and ``homs.equivalent`` through
+    every engine binding of them, and the ``Formula``s constructed."""
     calls = []
+    for fn in (_can_from_tuples, equivalent):
+        def counting(*args, fn=fn):
+            calls.append(fn.__name__)
+            return fn(*args)
 
-    def counting(*args):
-        calls.append(args)
-        return _can_from_tuples(*args)
-
-    for module in (nexus.characterize, nexus.homs, nexus.expansion):
-        for name, value in list(vars(module).items()):
-            if value is _can_from_tuples:
-                monkeypatch.setattr(module, name, counting)
+        for module in (nexus.characterize, nexus.homs, nexus.expansion):
+            for name, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, name, counting)
     formulas = []
     init = Formula.__init__
 
@@ -218,6 +269,15 @@ def test_decisions_build_no_formula(parks_kb, parks_dataset, parks_unit, monkeyp
         init(self, *args)
 
     monkeypatch.setattr(Formula, "__init__", counting_init)
+    return calls, formulas
+
+
+def test_decisions_build_no_formula(parks_kb, parks_dataset, parks_unit, built):
+    """``ess_member``, ``compare`` and the sweeps ``is_definable`` and
+    ``ess_set`` compile the rows of the product walk: no call of
+    ``_can_from_tuples`` through any engine binding of it, and no
+    ``Formula`` at all."""
+    calls, formulas = built
     arity2 = validate_unit([("Discovery_Cove", "Florida"), ("Epcot", "Florida")], parks_dataset)
     assert ess_member(parks_unit, parks_kb, ("Epcot",))
     assert not ess_member(parks_unit, parks_kb, ("Gardaland",))
@@ -227,6 +287,21 @@ def test_decisions_build_no_formula(parks_kb, parks_dataset, parks_unit, monkeyp
     assert is_definable(parks_unit, parks_kb)
     assert ess_set(parks_unit, parks_kb) == {("Discovery_Cove",), ("Epcot",)}
     assert calls == [] and formulas == []
+
+
+@pytest.mark.parametrize("tuples, classes", [
+    ([("Discovery_Cove",), ("Epcot",)], 6),
+    ([("Discovery_Cove", "Florida"), ("Epcot", "Florida")], 32),
+], ids=["shipped", "florida-pairs"])
+def test_the_graph_builds_formulas_only_for_its_classes(parks_kb, parks_dataset, built,
+                                                        tuples, classes):
+    """The expansion graph classifies and checks compiled cans: four
+    formulas per class (the representative, its renaming, its core and
+    the core's renaming), no ``_can_from_tuples`` and no ``equivalent``."""
+    calls, formulas = built
+    graph = build_expansion_graph(validate_unit(tuples, parks_dataset), parks_kb)
+    assert len(graph.nodes) == classes
+    assert calls == [] and len(formulas) == 4 * classes
 
 
 # Memberships that reach a search: the 3-col reductions of small graphs

@@ -193,6 +193,39 @@ def test_removed_flags_are_rejected(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("def", UNIT, "--out", "x.txt"),
+    ("ess", UNIT, "--t", "(Epcot)", "--format", "json"),
+    ("prec", UNIT, "--t", "(Gardaland)", "--t2", "(Leolandia)", "--out", "x.txt"),
+    ("load-check", "--format", "json"),
+    ("load-check", "--out", "x.txt"),
+    ("eg", UNIT, "--format", "json"),
+], ids=["def-out", "ess-format", "prec-out", "load-check-format", "load-check-out",
+        "eg-format"])
+def test_output_flags_only_where_they_act(capsys, tmp_path, monkeypatch, argv):
+    """``--out`` belongs to summarize, can, core and eg, ``--format`` to
+    the first three; elsewhere they did nothing, and are refused."""
+    monkeypatch.chdir(tmp_path)
+    command, *rest = argv
+    with pytest.raises(SystemExit) as exit_info:
+        run([command, FACTS, *rest, "--selector", "sigma0"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_eg_and_summarize_write_to_out(capsys, tmp_path):
+    eg = tmp_path / "eg.txt"
+    code, out, _ = invoke(capsys, "eg", FACTS, UNIT, "--selector", "sigma0", "--out", str(eg))
+    assert code == 0 and out == ""
+    assert eg.read_text().startswith("nodes: 6\n")
+    summary = tmp_path / "summary.json"
+    code, out, _ = invoke(capsys, "summarize", FACTS, "--selector", "sigma0", "--t", "(Epcot)",
+                          "--format", "json", "--out", str(summary))
+    assert code == 0 and out == ""
+    assert {"pred": "isa", "args": ["Epcot", "tp"]} in json.loads(summary.read_text())
+
+
 def test_gen_prime_cycles_roundtrip(capsys, tmp_path):
     prefix = tmp_path / "fam"
     code, out, _ = invoke(capsys, "gen", "prime-cycles", "2", "--out-prefix", str(prefix))

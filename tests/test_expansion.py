@@ -8,6 +8,7 @@ import textwrap
 
 import pytest
 
+from nexus import expansion
 from nexus.characterize import build_can
 from nexus.errors import OverlapWithUnit, TupleSpaceTooLarge
 from nexus.expansion import (
@@ -228,13 +229,27 @@ def test_sandwiched_units_share_class(parks_kb, parks_dataset):
         assert canonical_class(build_can(between, parks_kb)) == base
 
 
+def test_a_class_of_inequivalent_cans_is_refused(parks_kb, parks_unit, monkeypatch):
+    """Every parks tuple given one fingerprint: the first tuple whose can
+    is not hom-equivalent to its representative's stops the graph."""
+    monkeypatch.setattr(expansion._Closures, "infer", lambda self, *args: self.base)
+    with pytest.raises(AssertionError, match="landed in different classes"):
+        build_expansion_graph(parks_unit, parks_kb)
+
+
 def test_invariant_checks_survive_optimized_mode():
     """Under ``python -O`` a corrupted graph must still be refused: one
-    whose direct instances miss a tuple, and one with an arc reversed."""
+    whose direct instances miss a tuple, one with an arc reversed, and one
+    whose classification puts every parks tuple in one class."""
     code = textwrap.dedent("""
         import dataclasses
+        import sys
+        from pathlib import Path
+        from nexus import expansion
         from nexus.expansion import _check_invariants, build_expansion_graph
-        from nexus.kb import SelectiveKB, SelectorSpec, atom, close_under_top, validate_unit
+        from nexus.kb import (
+            SelectiveKB, SelectorSpec, atom, close_under_top, parse_facts, validate_unit,
+        )
 
         kb = SelectiveKB(
             close_under_top([atom("r", "a", "b"), atom("r", "b", "a"), atom("s", "a", "a")]),
@@ -252,13 +267,24 @@ def test_invariant_checks_survive_optimized_mode():
                 _check_invariants(broken, unit, kb, space, None)
             except AssertionError as exc:
                 print("refused:", exc)
+
+        parks = parse_facts(Path(sys.argv[1]).read_text())
+        expansion._Closures.infer = lambda self, *args: self.base
+        try:
+            build_expansion_graph(validate_unit([("Discovery_Cove",), ("Epcot",)], parks),
+                                  SelectiveKB(parks, SelectorSpec.sigma0()))
+        except AssertionError as exc:
+            print("refused:", exc)
     """)
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
-        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-O", "-c", code, str(root / "data" / "parks.nxf")],
+        env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.splitlines() == [
         "refused: direct instances must partition the tuple space",
         "refused: expansion graph has a cycle",
+        "refused: tuples with equal instance sets landed in different classes",
     ]
