@@ -2,8 +2,11 @@
 
 Decision commands (def, ess, prec, sim, inc) print yes/no and exit 0/1;
 summarize, can, core and eg write their artifact to stdout or --out (all
-but eg take --format); any module error, and a negative --budget, --cap
-or --samples, becomes a machine-readable record on stderr with exit 2.
+but eg take --format).  Only the commands that run a homomorphism search
+(core, the decisions, eg and selftest) take --budget, and every command
+but load-check takes --selector.  Any module error, and a negative
+--budget, --cap or --samples, becomes a machine-readable record on stderr
+with exit 2.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .expansion import (
 from .formulas import to_struct, to_text
 from .homs import instances
 from .kb import (
+    Dataset,
     SelectiveKB,
     SelectorSpec,
     parse_facts,
@@ -53,9 +57,12 @@ from .oracles import (
 YES, NO, ERROR = 0, 1, 2
 
 
+def _load_dataset(args) -> Dataset:
+    return parse_facts(Path(args.facts).read_text(encoding="utf-8"))
+
+
 def _load_kb(args) -> SelectiveKB:
-    dataset = parse_facts(Path(args.facts).read_text(encoding="utf-8"))
-    return SelectiveKB(dataset, SelectorSpec.parse(args.selector))
+    return SelectiveKB(_load_dataset(args), SelectorSpec.parse(args.selector))
 
 
 def _load_unit(args, kb: SelectiveKB):
@@ -83,8 +90,7 @@ def _decision(flag: bool) -> int:
 
 
 def cmd_load_check(args) -> int:
-    kb = _load_kb(args)
-    ds = kb.dataset
+    ds = _load_dataset(args)
     preds = sorted({(a.pred, a.arity) for a in ds.atoms})
     print(f"atoms: {len(ds)}")
     print(f"constants: {len(ds.domain)}")
@@ -235,32 +241,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"nexus {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, unit=True, out=False, formats=False):
+    def common(p, unit=True, selector=True, search=True, out=False, formats=False):
         p.add_argument("facts", help="facts file (.nxf)")
         if unit:
             p.add_argument("unit", help="unit file (.nxu)")
-        p.add_argument(
-            "--selector",
-            default="full",
-            help="full | sigma0 | component | neighborhood:<r> (default: full)",
-        )
-        p.add_argument("--budget", type=int, default=None, help="hom-search node cap")
+        if selector:
+            p.add_argument(
+                "--selector",
+                default="full",
+                help="full | sigma0 | component | neighborhood:<r> (default: full)",
+            )
+        if search:  # only where a homomorphism search runs
+            p.add_argument("--budget", type=int, default=None, help="hom-search node cap")
         if out:  # only where there is an artifact to write
             p.add_argument("--out", default=None, help="write output here instead of stdout")
         if formats:
             p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("load-check", help="validate a facts file and print stats")
-    common(p, unit=False)
+    common(p, unit=False, selector=False, search=False)
     p.set_defaults(fn=cmd_load_check)
 
     p = sub.add_parser("summarize", help="print the summary of a tuple")
-    common(p, unit=False, out=True, formats=True)
+    common(p, unit=False, search=False, out=True, formats=True)
     p.add_argument("--t", required=True, help='tuple, e.g. "(Epcot)"')
     p.set_defaults(fn=cmd_summarize)
 
     p = sub.add_parser("can", help="canonical characterization of the unit")
-    common(p, out=True, formats=True)
+    common(p, search=False, out=True, formats=True)
     p.set_defaults(fn=cmd_can)
 
     p = sub.add_parser("core", help="core characterization of the unit")

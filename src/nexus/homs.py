@@ -16,8 +16,9 @@ source lacks included, and turns the image into a map.
 Each node is cheap:
 
 * The target is indexed: its argument tuples by predicate and arity, and,
-  built on first use, the tuples holding a given value at a given position
-  and the set of values of each column.  An atom's supports come from the
+  built on first use, the tuples holding a given value at a given position,
+  the set of values of each column and the projections of forward
+  checking (below).  An atom's supports come from the
   shortest tuple list of its fixed positions; a fully fixed atom is one
   set lookup.  The index is built per search, except that the core keeps
   one index of its current atoms for the whole pass, taking out and
@@ -30,6 +31,15 @@ Each node is cheap:
   whose variables are all assigned already holds: its last variable was
   chosen among values narrowed with every other argument fixed.  So the
   search tree is the same as when every atom is asked, with fewer lookups.
+* Forward checking asks by relation.  The binary atoms over two distinct
+  open variables are grouped per variable by predicate and the variable's
+  position, and a group is one query however many atoms it has: the
+  target's projection of the chosen value onto the other position
+  (``_Target.project``), memoised per value, intersected into each
+  partner still open.  Intersection does not depend on order, so the
+  tree is again the same.  In the canonical characterization of a
+  3-colourability reduction a variable holds about 60 ``arc`` atoms on
+  average, in two groups.
 * The search is a loop over an explicit stack.  Narrowed candidate sets
   are recorded on a trail and restored on backtracking, and the open
   variables wait in buckets by candidate count, sorted by name, so
@@ -82,6 +92,7 @@ from .formulas import Formula, _atom_components, canonical_rename
 from .kb import TOP, Atom, ConstTuple, Dataset, SelectiveKB, Var, is_var, term_key
 
 DEFAULT_BUDGET = 10_000_000
+_UNSET = object()
 
 
 class _Budget:
@@ -135,18 +146,25 @@ class _Source:
     that a sweep's fold dropped: its slot gets no image.  Term number
     ``s`` is the search's slot ``s``, and its image starts from
     ``template``, which holds the constants.  ``by_rank`` holds the slots
-    of the unpinned variables in name order, ``rank`` its inverse, and
-    ``by_var`` their atoms ``((pred, arity), slots, repeats)``.  Only
-    ``by_rank`` shapes the search tree, not the numbering or the row order.
+    of the unpinned variables in name order and ``rank`` its inverse.
+    Only ``by_rank`` shapes the search tree, not the numbering or the row
+    order.
+
+    Forward checking reads two lists per slot.  An atom over two distinct
+    unpinned variables is in ``pairs``: each of its slots lists it under
+    the group key ``((pred, 2), p, q)``, its own position ``p`` and its
+    partner's ``q``, as ``(key, p, q, partner slots)``, one entry per
+    group.  Every other atom holding an unpinned variable is in that
+    variable's ``by_var`` as ``((pred, arity), slots, repeats)``.
 
     The root pass checks every row.  An atom whose arguments are distinct
     unpinned variables only restricts each to a column of the target, so
     it intersects columns once per distinct set of them (``by_columns``);
-    every other atom, nullary ones included, is asked of the index
-    (``fixed_atoms``).
+    a pair atom's columns are those of its group keys.  Every other atom,
+    nullary ones included, is asked of the index (``fixed_atoms``).
     """
 
-    __slots__ = ("terms", "slot", "template", "by_var", "by_rank", "rank",
+    __slots__ = ("terms", "slot", "template", "by_var", "pairs", "by_rank", "rank",
                  "fixed_atoms", "by_columns")
 
     def __init__(
@@ -159,8 +177,20 @@ class _Source:
         open_slot = [is_var(t) and t not in pinned for t in terms]
         self.fixed_atoms = []
         by_var: dict[int, list] = defaultdict(list)
+        pairs: dict[int, dict] = defaultdict(dict)  # slot -> group key -> partner slots
         columns: dict[int, set] = defaultdict(set)
+        roles: dict[str, tuple] = {}  # pred -> the group keys of its two positions
         for pred, slots in rows:
+            if len(slots) == 2:
+                a, b = slots
+                if a != b and open_slot[a] and open_slot[b]:
+                    role = roles.get(pred)
+                    if role is None:
+                        key = (pred, 2)
+                        role = roles[pred] = ((key, 0, 1), (key, 1, 0))
+                    pairs[a].setdefault(role[0], []).append(b)
+                    pairs[b].setdefault(role[1], []).append(a)
+                    continue
             key = (pred, len(slots))
             compiled = (key, slots, len(set(slots)) < len(slots))
             held = [s for s in slots if open_slot[s]]
@@ -173,8 +203,14 @@ class _Source:
                     held = dict.fromkeys(held)
             for s in held:
                 by_var[s].append(compiled)
-        self.by_var = [by_var.get(s) for s in range(len(terms))]
-        self.by_rank = sorted(by_var, key=lambda s: terms[s].name)
+        self.by_var = [()] * len(terms)
+        for s, atoms in by_var.items():
+            self.by_var[s] = atoms
+        self.pairs = [()] * len(terms)
+        for s, groups in pairs.items():
+            columns[s].update([(key, p) for key, p, _q in groups])
+            self.pairs[s] = [(*group, partners) for group, partners in groups.items()]
+        self.by_rank = sorted(by_var.keys() | pairs.keys(), key=lambda s: terms[s].name)
         self.rank = [0] * len(terms)
         for i, s in enumerate(self.by_rank):
             self.rank[s] = i
@@ -204,9 +240,11 @@ def _numbered(atoms: Iterable[Atom]) -> tuple[list, list[tuple[str, tuple[int, .
 
 
 class _Target:
-    """Index of a target atom set for the supports of source atoms."""
+    """Index of a target atom set for the supports of source atoms and
+    the projections of pair atoms.  ``discard`` and ``add`` keep every
+    lookup built so far in step, so one index can serve a whole pass."""
 
-    __slots__ = ("rows", "_by_value", "_columns")
+    __slots__ = ("rows", "_by_value", "_columns", "_projections")
 
     def __init__(self, atoms: Iterable[Atom]):
         rows = self.rows = defaultdict(set)
@@ -214,6 +252,7 @@ class _Target:
             rows[(a.pred, len(a.args))].add(a.args)
         self._by_value: dict[tuple, dict] = {}  # (key, pos) -> value -> tuples
         self._columns: dict[tuple, set] = {}  # (key, pos) -> values
+        self._projections: dict[tuple, dict] = {}  # (key, p, q) -> value -> values or None
 
     def _holding(self, key, pos, value):
         by_value = self._by_value.get((key, pos))
@@ -234,11 +273,36 @@ class _Target:
             values = self._columns[(key, pos)] = {tt[pos] for tt in self.rows[key]}
         return values
 
+    def project(self, key, p, val, q):
+        """The values at position ``q`` of the tuples holding ``val`` at
+        position ``p``, or None when no tuple holds it: what ``supports``
+        offers the open slot of a binary atom whose other slot is fixed to
+        ``val``.  Memoised per ``(key, p, q)`` and value; the set must not
+        be mutated."""
+        memo = self._projections.get((key, p, q))
+        if memo is None:
+            memo = self._projections[(key, p, q)] = {}
+        values = memo.get(val, _UNSET)
+        if values is _UNSET:
+            holding = self._holding(key, p, val)
+            values = memo[val] = None if holding is None else {tt[q] for tt in holding}
+        return values
+
+    def _forget_projections(self, key, args: tuple):
+        """Drop the memoised projections that ``args`` takes part in."""
+        for p, value in enumerate(args):
+            for q in range(len(args)):
+                memo = self._projections.get((key, p, q))
+                if memo is not None:
+                    memo.pop(value, None)
+
     def discard(self, pred: str, args: tuple):
         """Take one indexed atom out, keeping the lookups built so far in
         step."""
         key = (pred, len(args))
         self.rows[key].discard(args)
+        if self._projections:
+            self._forget_projections(key, args)
         for pos, value in enumerate(args):
             by_value = self._by_value.get((key, pos))
             if by_value is not None:
@@ -254,6 +318,8 @@ class _Target:
         """Add an atom, or put back one taken out by ``discard``."""
         key = (pred, len(args))
         self.rows[key].add(args)
+        if self._projections:
+            self._forget_projections(key, args)
         for pos, value in enumerate(args):
             by_value = self._by_value.get((key, pos))
             if by_value is not None:
@@ -410,7 +476,9 @@ def _run(
     target.  The root pass narrows the slot of an atom with one open
     variable with every other argument fixed (a column intersection, or
     ``fixed_atoms``, through ``_Target._scan`` for repeats), and
-    ``propagate`` does the same for an atom left with one open variable.
+    ``propagate`` does the same for an atom left with one open variable:
+    a pair atom's partner is narrowed to the projection of the chosen
+    value, which is what ``supports`` would offer it.
     Candidates only shrink until ``undo`` restores them together with
     that narrowing, so any value the variable then takes completes a
     tuple of the target.  ``propagate`` therefore skips the atoms with
@@ -443,7 +511,8 @@ def _run(
             return None
 
     # open slots by candidate count, each bucket a sorted list of name ranks
-    rank, by_var, supports = source.rank, source.by_var, target.supports
+    rank, by_var, pairs = source.rank, source.by_var, source.pairs
+    supports, project = target.supports, target.project
     buckets: dict[int, list[int]] = {}
     for r, s in enumerate(by_rank):
         buckets.setdefault(len(domains[s]), []).append(r)
@@ -490,9 +559,26 @@ def _run(
 
     def propagate(var, val) -> bool:
         """Forward check the atoms of ``var`` that still have an open
-        slot, narrowing on the trail.  By the invariant of ``_run``, an atom
-        with no open slot holds, so skipping it keeps the search tree
-        (Haralick & Elliott, 1980)."""
+        slot, narrowing on the trail: one projection of the target per
+        group of ``var``'s binary atoms, intersected into each partner
+        still open, and ``supports`` for every other atom.  By the
+        invariant of ``_run``, an atom with no open slot holds, so skipping
+        it keeps the search tree (Haralick & Elliott, 1980)."""
+        for key, p, q, partners in pairs[var]:
+            values = _UNSET
+            for u in partners:
+                if image[u] is not None:
+                    continue
+                if values is _UNSET:
+                    values = project(key, p, val, q)
+                    if values is None:
+                        return False
+                current = domains[u]
+                narrowed = current & values
+                if not narrowed:
+                    return False
+                if len(narrowed) != len(current):
+                    narrow(u, current, narrowed)
         for key, slots, repeats in by_var[var]:
             for s in slots:
                 if image[s] is None:

@@ -214,6 +214,23 @@ def test_output_flags_only_where_they_act(capsys, tmp_path, monkeypatch, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ("can", UNIT, "--selector", "sigma0", "--budget", "0"),
+    ("summarize", "--selector", "sigma0", "--t", "(Epcot)", "--budget", "0"),
+    ("load-check", "--budget", "0"),
+    ("load-check", "--selector", "sigma0"),
+], ids=["can-budget", "summarize-budget", "load-check-budget", "load-check-selector"])
+def test_search_flags_only_where_they_act(capsys, argv):
+    """``--budget`` belongs to the commands that search: core, def, ess,
+    prec, sim, inc, eg (and selftest); ``--selector`` to every command
+    that selects summaries, so not to load-check."""
+    command, *rest = argv
+    with pytest.raises(SystemExit) as exit_info:
+        run([command, FACTS, *rest])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_eg_and_summarize_write_to_out(capsys, tmp_path):
     eg = tmp_path / "eg.txt"
     code, out, _ = invoke(capsys, "eg", FACTS, UNIT, "--selector", "sigma0", "--out", str(eg))

@@ -111,7 +111,8 @@ def test_long_chain_needs_no_deep_stack():
 
 @pytest.fixture()
 def kernel_meter(monkeypatch):
-    """Counts ``_Target.supports`` calls and lists the nodes each search
+    """Counts the queries a search asks of the target, ``_Target.supports``
+    calls and ``_Target.project`` calls, and lists the nodes each search
     that reaches the search loop spends, in order."""
     meters, calls = [], [0]
 
@@ -120,21 +121,25 @@ def kernel_meter(monkeypatch):
             super().__init__(cap)
             meters.append(self)
 
-    supports = homs._Target.supports
-
-    def counted(self, *args):
-        calls[0] += 1
-        return supports(self, *args)
+    def counted(query):
+        def call(self, *args):
+            calls[0] += 1
+            return query(self, *args)
+        return call
 
     monkeypatch.setattr(homs, "_Budget", Metered)
-    monkeypatch.setattr(homs._Target, "supports", counted)
+    for name in ("supports", "project"):
+        monkeypatch.setattr(homs._Target, name, counted(getattr(homs._Target, name)))
     return lambda: (calls[0], [m.cap - m.left for m in meters])
 
 
-# Forward checking skips the atoms whose variables are all assigned.  The
-# node lists are those of the kernel that still asked the target about
-# them (2,242-2,258 and 887 ``supports`` calls, by hash seed): skipping
-# them must not move the search tree.
+# Forward checking skips the atoms whose variables are all assigned, and
+# asks one projection per group of binary atoms.  The node lists are those
+# of the kernel that still asked the target about every atom, one
+# ``supports`` call each: neither may move the search tree.  The query
+# bounds are the counts of this kernel, the same under every hash seed; a
+# kernel that also projected for groups whose partners are all assigned
+# makes 1,449, 121 and 225 queries.
 CYCLES_NODES = [20, 19, 18, 17, 16, 15, 14, 13, 12, 11, 1, 10, 9, 8, 7, 6, 5, 4, 3, 2,
                 23, 24, 25, 26, 22, 21, 21, 20, 19, 18, 17, 16, 15, 14, 13, 12, 1, 11,
                 10, 9, 8, 7, 6, 5, 4, 3, 2, 23, 24, 25, 26, 27, 22]
@@ -144,9 +149,9 @@ def test_core_search_skips_fully_assigned_atoms(kernel_meter):
     """The core of the 2*3*5 prime cycles: a one-cycle core of 30 nodes."""
     kb, unit = oracles.gen_prime_cycles(3)
     assert build_core_char(unit, kb).size == 60
-    calls, nodes = kernel_meter()
+    queries, nodes = kernel_meter()
     assert nodes == CYCLES_NODES
-    assert calls <= 2242 // 2
+    assert queries <= 846
 
 
 def test_membership_search_skips_fully_assigned_atoms(kernel_meter):
@@ -155,9 +160,24 @@ def test_membership_search_skips_fully_assigned_atoms(kernel_meter):
     edges = [(f"v{i}", f"v{(i + 1) % 5}") for i in range(5)]
     kb, unit, tau = oracles.gen_3col_instance(vertices, edges, 1)
     assert ess_member(unit, kb, tau)
-    calls, nodes = kernel_meter()
+    queries, nodes = kernel_meter()
     assert nodes == [35]
-    assert calls <= 887 * 3 // 5
+    assert queries <= 113
+
+
+def test_membership_search_projects_once_per_group(kernel_meter):
+    """``ess_member`` on the 3-colorability reduction of a 6-spoke wheel.
+    In its can each of the 63 variables is in 30 to 98 ``arc`` atoms, of
+    two groups, one per role.  A kernel that asks ``supports`` once per
+    atom makes 1,445 queries for the same 63 nodes; one projection per
+    group makes a seventh of them."""
+    rim = [f"v{i}" for i in range(6)]
+    edges = [("h", v) for v in rim] + [(rim[i], rim[(i + 1) % 6]) for i in range(6)]
+    kb, unit, tau = oracles.gen_3col_instance(["h", *rim], edges, 1)
+    assert ess_member(unit, kb, tau)
+    queries, nodes = kernel_meter()
+    assert nodes == [63]
+    assert queries <= 1445 // 3
 
 
 # ---------------------------------------------------------------------------

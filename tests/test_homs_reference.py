@@ -3,12 +3,13 @@ scan-based kernel it replaced (``reference_homs``).  Both must return the
 same first solution or None, and run out of budget at the same node."""
 
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nexus.errors import BudgetExceeded
-from nexus.homs import _search
+from nexus.homs import _Budget, _search, _Target
 from nexus.kb import Atom, Var
 
 import reference_homs
@@ -165,3 +166,87 @@ def test_pins_against_reference(pins, injective, found):
     expected = _outcome(reference_homs._search, PIN_SOURCE, PIN_TARGET, pins, injective)
     assert (expected is not None) == found
     assert _outcome(_search, PIN_SOURCE, PIN_TARGET, pins, injective) == expected
+
+
+PAIR_PREDS = ["p", "r"]
+
+
+@st.composite
+def dense_binary_problems(draw):
+    """Problems where every source variable is in at least 8 binary atoms
+    over two predicates, both roles and every partner mixed, into a dense
+    target over three or four constants: the kernel groups these atoms by
+    predicate and role and asks one projection per group."""
+    source = []
+    for v in SOURCE_VARS:
+        others = [u for u in SOURCE_VARS if u != v]
+        shapes = st.tuples(st.sampled_from(PAIR_PREDS), st.sampled_from(others), st.booleans())
+        for pred, u, first in draw(st.lists(shapes, min_size=8, max_size=10, unique=True)):
+            source.append(Atom(pred, (v, u) if first else (u, v)))
+    consts = CONSTS[:draw(st.integers(3, 4))]
+    everything = [Atom(pred, args) for pred in PAIR_PREDS
+                  for args in itertools.product(consts, repeat=2)]
+    target = draw(st.lists(st.sampled_from(everything), min_size=8, unique=True))
+    pins = {v: draw(st.sampled_from(consts))
+            for v in draw(st.lists(st.sampled_from(SOURCE_VARS), max_size=2))}
+    return source, target, pins, draw(st.booleans())
+
+
+def _nodes(source, target, pins, injective):
+    """The nodes ``_search`` spends on a problem, found or not."""
+    spent = []
+    spend = _Budget.spend
+
+    def counting(meter):
+        spent.append(None)
+        spend(meter)
+
+    with mock.patch.object(_Budget, "spend", counting):
+        _search(source, target, dict(pins), None, injective)
+    return len(spent)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_binary_problems())
+def test_same_outcome_as_reference_on_dense_binary_problems(problem):
+    """A search of n nodes runs out of budget exactly at the budgets below
+    n, so budgets up to 12 and n - 1 and n check every point."""
+    source, target, pins, injective = problem
+    nodes = _nodes(source, target, pins, injective)
+    for budget in (None, *range(12), max(nodes - 1, 0), nodes):
+        expected = _outcome(reference_homs._search, source, target, pins, injective, budget)
+        assert _outcome(_search, source, target, pins, injective, budget) == expected, budget
+
+
+INDEX_PREDS = [("r", 2), ("t", 3)]
+INDEX_ATOMS = [Atom(pred, args) for pred, arity in INDEX_PREDS
+               for args in itertools.product(CONSTS[:3], repeat=arity)]
+PROJECTIONS = [((pred, arity), p, val, q) for pred, arity in INDEX_PREDS
+               for p in range(arity) for q in range(arity) if p != q for val in CONSTS[:3]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(INDEX_ATOMS), max_size=20, unique=True),
+       st.lists(st.sampled_from(INDEX_ATOMS), max_size=30))
+def test_projections_follow_discard_and_add(start, toggles):
+    """``_Target.project``, memoised, against a recomputation from the
+    atoms present, after each ``discard`` or ``add``: every toggle takes
+    out an atom present or puts back one absent, as the core does."""
+    target = _Target(start)
+    atoms = set(start)
+
+    def check():
+        for key, p, val, q in PROJECTIONS:
+            values = {a.args[q] for a in atoms
+                      if (a.pred, len(a.args)) == key and a.args[p] == val}
+            assert target.project(key, p, val, q) == (values or None), (key, p, val, q)
+
+    check()
+    for a in toggles:
+        if a in atoms:
+            target.discard(a.pred, a.args)
+            atoms.discard(a)
+        else:
+            target.add(a.pred, a.args)
+            atoms.add(a)
+        check()
