@@ -10,8 +10,10 @@ cloned onto the base constant, and finally everything that does not
 connect to the free variables is discarded.  A product constant is the
 tuple of its parts, one per operand.  The pipeline generates only the
 product atoms connected to the free product constants, by a search from
-those constants over per-operand indexes; ``product_datasets`` runs the
-same search from every product constant to materialize the whole product.
+those constants over per-operand indexes, which joins a binary atom by its
+partner and emits it from its lower-numbered end; ``product_datasets``
+runs the same search from every product constant to materialize the whole
+product.
 """
 
 from __future__ import annotations
@@ -69,36 +71,54 @@ def product_datasets(datasets: Sequence[Dataset]) -> Dataset:
 # Canonical characterization
 
 
-def _operand_index(summary: Dataset) -> dict[str, dict[tuple[str, int], list[tuple]]]:
-    """value -> (pred, position) -> argument tuples of the summary's atoms
-    that hold the value at the position."""
-    index: dict[str, dict[tuple[str, int], list[tuple]]] = {}
+def _operand_index(summary: Dataset) -> dict[str, dict[tuple, list]]:
+    """value -> slot -> entries, one per atom of the summary that holds
+    the value at the slot's position.  A binary atom's slot is
+    ``(pred, position)`` and its entry the value at the other position,
+    its partner; any other atom's slot is ``(pred, position, arity)`` and
+    its entry the argument tuple."""
+    index: dict[str, dict[tuple, list]] = {}
     for a in summary.atoms:
-        for pos, value in enumerate(a.args):
-            index.setdefault(value, {}).setdefault((a.pred, pos), []).append(a.args)
+        if len(a.args) == 2:
+            s, o = a.args
+            index.setdefault(s, {}).setdefault((a.pred, 0), []).append(o)
+            index.setdefault(o, {}).setdefault((a.pred, 1), []).append(s)
+        else:
+            for pos, value in enumerate(a.args):
+                slot = (a.pred, pos, len(a.args))
+                index.setdefault(value, {}).setdefault(slot, []).append(a.args)
     return index
 
 
 def _reachable_product(
     summaries: Sequence[Dataset], frees: Sequence[tuple[str, ...]]
-) -> tuple[list[tuple[str, ...]], set[tuple[str, tuple[int, ...]]]]:
+) -> tuple[list[tuple[str, ...]], list[tuple[str, tuple[int, ...]]]]:
     """The atoms of the direct product that are connected to the free
     product constants.  A product constant is the tuple of its parts, one
     per operand, and is numbered as the walk finds it, the free ones first
     in the given order: the walk returns the product constants by number
-    and the atoms as ``(pred, args)`` with each argument a number.
+    and the atoms, each once, as ``(pred, args)`` with each argument a
+    number.
 
     Breadth-first over product constants: the product atoms holding a
     constant c at position p are the same-predicate combinations of the
     operands' atoms holding c's j-th part at p, so joining one index list
     per operand yields exactly them, and the rest of the product is never
-    built.
+    built.  A binary atom is joined by partner: the combination is the
+    partner product constant itself, and the atom is emitted from its
+    lower-numbered end only (from position 0 when both ends are c).  The
+    walk is breadth-first in number order, so a partner numbered below c
+    was walked before and has emitted the atom already: the repeat is
+    still enumerated, but it costs one lookup and a compare, not a tuple
+    built and hashed.  Atoms of other arities are joined into a set.
     """
-    first, *rest = [_operand_index(s) for s in summaries]
+    indexes = {id(s): _operand_index(s) for s in summaries}  # one per distinct summary
+    first, *rest = [indexes[id(s)] for s in summaries]
     number = {c: i for i, c in enumerate(dict.fromkeys(frees))}
     consts = list(number)
-    atoms: set[tuple[str, tuple[int, ...]]] = set()
-    for c in consts:  # grows while it is walked
+    rows: list[tuple[str, tuple[int, ...]]] = []
+    wide: set[tuple[str, tuple[int, ...]]] = set()  # atoms of arity other than 2
+    for i, c in enumerate(consts):  # grows while it is walked
         others = [idx.get(part) for idx, part in zip(rest, c[1:])]
         if None in others:
             continue
@@ -110,6 +130,17 @@ def _reachable_product(
                     break
                 pools.append(match)
             else:
+                if len(slot) == 2:
+                    pred, pos = slot
+                    for partner in itertools.product(*pools):
+                        j = number.get(partner)
+                        if j is None:  # met for the first time
+                            j = number[partner] = len(consts)
+                            consts.append(partner)
+                        elif j < i or (j == i and pos):
+                            continue  # emitted from the lower-numbered end
+                        rows.append((pred, (j, i) if pos else (i, j)))
+                    continue
                 for combo in itertools.product(*pools):
                     args = tuple(map(number.get, zip(*combo)))
                     if None in args:  # product constants met for the first time
@@ -118,8 +149,9 @@ def _reachable_product(
                                 number[t] = len(consts)
                                 consts.append(t)
                         args = tuple(map(number.get, zip(*combo)))
-                    atoms.add((slot[0], args))
-    return consts, atoms
+                    wide.add((slot[0], args))
+    rows += wide
+    return consts, rows
 
 
 def _assemble(
@@ -170,7 +202,7 @@ def _assemble(
         terms += mine
     head = [terms[own[consts.index(pc)][0]] for pc in frees]
     if len(terms) == len(consts):
-        return head, terms, list(rows)
+        return head, terms, rows
     rows = [(pred, combo) for pred, args in rows
             for combo in itertools.product(*[own[i] for i in args])]
     # the nearly-connected part: rows linked to the head through shared terms

@@ -413,6 +413,9 @@ class SelectiveKB:
         if cached is not None:
             return cached
         self.check_domain(tau)
+        if self.selector.strategy == "full":  # the dataset itself, not a checked copy
+            self._cache[tau] = self.dataset
+            return self.dataset
         picked = self.selector.select(self.dataset, tau)
         if not picked <= self.dataset.atoms:
             raise SelectorViolation("selector returned atoms outside the dataset")

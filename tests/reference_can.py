@@ -4,6 +4,12 @@ heap-ordered renaming, kept verbatim as a test-only reference, together
 with the full-product generator and the ``d|`` product constant names it
 was built on.  The differential tests require the current pipeline to
 return equal formulas with identical text on every input.
+
+``_reachable_product`` is the product walk as it was before binary atoms
+were joined by partner and emitted once: it builds every product atom
+from each end that holds a product constant and drops the repeats in a
+set.  The current walk must number the same product constants in the
+same order and return the same atoms.
 """
 
 from __future__ import annotations
@@ -180,3 +186,56 @@ def _can_from_tuples(tuples: Sequence[ConstTuple], kb: SelectiveKB) -> Formula:
     head = [mapped(pc.name) for pc in frees]
     assembled = Formula(head, atoms)
     return canonical_rename(nearly_connected_part(assembled))
+
+
+def _operand_index(summary: Dataset) -> dict[str, dict[tuple[str, int], list[tuple]]]:
+    """value -> (pred, position) -> argument tuples of the summary's atoms
+    that hold the value at the position."""
+    index: dict[str, dict[tuple[str, int], list[tuple]]] = {}
+    for a in summary.atoms:
+        for pos, value in enumerate(a.args):
+            index.setdefault(value, {}).setdefault((a.pred, pos), []).append(a.args)
+    return index
+
+
+def _reachable_product(
+    summaries: Sequence[Dataset], frees: Sequence[tuple[str, ...]]
+) -> tuple[list[tuple[str, ...]], set[tuple[str, tuple[int, ...]]]]:
+    """The atoms of the direct product that are connected to the free
+    product constants.  A product constant is the tuple of its parts, one
+    per operand, and is numbered as the walk finds it, the free ones first
+    in the given order: the walk returns the product constants by number
+    and the atoms as ``(pred, args)`` with each argument a number.
+
+    Breadth-first over product constants: the product atoms holding a
+    constant c at position p are the same-predicate combinations of the
+    operands' atoms holding c's j-th part at p, so joining one index list
+    per operand yields exactly them, and the rest of the product is never
+    built.
+    """
+    first, *rest = [_operand_index(s) for s in summaries]
+    number = {c: i for i, c in enumerate(dict.fromkeys(frees))}
+    consts = list(number)
+    atoms: set[tuple[str, tuple[int, ...]]] = set()
+    for c in consts:  # grows while it is walked
+        others = [idx.get(part) for idx, part in zip(rest, c[1:])]
+        if None in others:
+            continue
+        for slot, pool in first.get(c[0], {}).items():
+            pools = [pool]
+            for other in others:
+                match = other.get(slot)
+                if match is None:
+                    break
+                pools.append(match)
+            else:
+                for combo in itertools.product(*pools):
+                    args = tuple(map(number.get, zip(*combo)))
+                    if None in args:  # product constants met for the first time
+                        for t in zip(*combo):
+                            if t not in number:
+                                number[t] = len(consts)
+                                consts.append(t)
+                        args = tuple(map(number.get, zip(*combo)))
+                    atoms.add((slot[0], args))
+    return consts, atoms

@@ -1,18 +1,20 @@
-"""Differential tests: the reachable-product canonical characterization
-and the heap-ordered renaming against the materialize-then-prune pipeline
-and the quadratic renaming they replaced (``reference_can``).  Both must
-return equal formulas with identical text; the engine's can is compared
-after the canonical renaming that ``build_can`` applies, since decisions
-search it as assembled."""
+"""Differential tests against what the current code replaced
+(``reference_can``).  The reachable-product canonical characterization
+and the heap-ordered renaming must return the formulas, with identical
+text, of the materialize-then-prune pipeline and the quadratic renaming;
+the engine's can is compared after the canonical renaming that
+``build_can`` applies, since decisions search it as assembled.  The
+product walk must number and return what the walk that built every
+binary atom from both ends did."""
 
 import random
 
 from hypothesis import given, settings, strategies as st
 
 import reference_can
-from nexus.characterize import _can_from_tuples
+from nexus.characterize import _can_from_tuples, _reachable_product
 from nexus.formulas import Formula, canonical_rename, to_text
-from nexus.kb import Atom, SelectiveKB, SelectorSpec, Var, close_under_top
+from nexus.kb import TOP, Atom, SelectiveKB, SelectorSpec, Var, close_under_top
 from nexus.oracles import RandomSkbConfig, random_skb
 
 SELECTORS = ["full", "sigma0", "component", "neighborhood:1"]
@@ -83,6 +85,49 @@ def test_can_matches_reference_on_parks(parks_kb, parks_dataset):
         tuples = sorted({tuple(rng.choice(consts) for _ in range(arity))
                          for _ in range(rng.randint(1, 3))})
         assert_same_can(tuples, parks_kb)
+
+
+WALK_PREDICATES = (("q", 1), ("p", 2), ("r", 2), ("t", 3))
+
+
+@st.composite
+def walks(draw):
+    """1-3 operands over up to four constants with unary, binary and
+    ternary atoms and binary self-loops, possibly one dataset for every
+    operand (as under ``full``), and frees that may repeat and may be
+    genes ``(b, ..., b)``."""
+    consts = [f"e{i}" for i in range(1, draw(st.integers(1, 4)) + 1)]
+    term = st.sampled_from(consts)
+    operands = []
+    for _ in range(draw(st.integers(1, 3))):
+        atoms = [Atom(TOP, (draw(term),))]
+        for pred, arity in WALK_PREDICATES:
+            atoms += [Atom(pred, args)
+                      for args in draw(st.lists(st.tuples(*[term] * arity), max_size=6))]
+        atoms += [Atom("p", (c, c)) for c in draw(st.lists(term, max_size=2))]
+        operands.append(close_under_top(atoms))
+    if len(operands) > 1 and draw(st.booleans()):
+        operands = [operands[0]] * len(operands)
+    parts = [st.sampled_from(sorted(ds.domain)) for ds in operands]
+    frees = draw(st.lists(st.tuples(*parts), min_size=1, max_size=3))
+    shared = sorted(set.intersection(*[set(ds.domain) for ds in operands]))
+    if shared and draw(st.booleans()):
+        gene = (draw(st.sampled_from(shared)),) * len(operands)
+        frees.insert(draw(st.integers(0, len(frees))), gene)
+    return operands, frees
+
+
+@settings(max_examples=300, deadline=None)
+@given(walks())
+def test_walk_matches_reference(walk):
+    """The same product constants in the same order and the same atoms,
+    each once."""
+    operands, frees = walk
+    consts, rows = _reachable_product(operands, frees)
+    want_consts, want_rows = reference_can._reachable_product(operands, frees)
+    assert consts == want_consts
+    assert len(rows) == len(set(rows))
+    assert set(rows) == want_rows
 
 
 VARS = [Var(n) for n in ("a", "b", "c", "y1", "y2", "x1")]

@@ -8,7 +8,9 @@ import pytest
 
 from nexus.cli import run
 from nexus.expansion import build_expansion_graph
-from nexus.kb import SelectiveKB, SelectorSpec, parse_facts, parse_unit_tuples, validate_unit
+from nexus.kb import (
+    SelectiveKB, SelectorSpec, parse_facts, parse_unit_tuples, render_facts, validate_unit,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
@@ -28,6 +30,12 @@ def test_load_check(capsys):
     assert "atoms: 31" in out
     assert "constants: 13" in out
     assert "isa/2" in out
+
+
+def test_summarize_full_prints_the_dataset(capsys):
+    code, out, _ = invoke(capsys, "summarize", FACTS, "--selector", "full", "--t", "(Epcot)")
+    assert code == 0
+    assert out == render_facts(parse_facts(pathlib.Path(FACTS).read_text()))
 
 
 def test_summarize_epcot(capsys):

@@ -200,7 +200,14 @@ def test_sigma0_index_matches_scan(parks_dataset):
 
 def test_full_selector_returns_dataset(parks_kb):
     kb = SelectiveKB(parks_kb.dataset, SelectorSpec.full())
-    assert kb.summary(("Epcot",)) == parks_kb.dataset
+    assert kb.summary(("Epcot",)) is parks_kb.dataset
+    assert kb.summary(("Prater", "Italy")) is parks_kb.dataset
+
+
+def test_full_summary_outside_domain(parks_dataset):
+    kb = SelectiveKB(parks_dataset, SelectorSpec.full())
+    with pytest.raises(TupleOutsideDomain):
+        kb.summary(("Epcot", "Narnia"))
 
 
 def test_summary_contract(parks_kb):
