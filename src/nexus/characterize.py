@@ -10,10 +10,12 @@ cloned onto the base constant, and finally everything that does not
 connect to the free variables is discarded.  A product constant is the
 tuple of its parts, one per operand.  The pipeline generates only the
 product atoms connected to the free product constants, by a search from
-those constants over per-operand indexes, which joins a binary atom by its
-partner and emits it from its lower-numbered end; ``product_datasets``
-runs the same search from every product constant to materialize the whole
-product.
+those constants over per-operand indexes, kept on each operand's
+``Dataset``.  The search joins a binary atom by its partner and emits it
+from its lower-numbered end, and joins a relation symmetric in every
+operand at one of its positions only, emitting both atoms of each edge
+there.  ``product_datasets`` runs the same search from every product
+constant to materialize the whole product.
 """
 
 from __future__ import annotations
@@ -71,23 +73,33 @@ def product_datasets(datasets: Sequence[Dataset]) -> Dataset:
 # Canonical characterization
 
 
-def _operand_index(summary: Dataset) -> dict[str, dict[tuple, list]]:
-    """value -> slot -> entries, one per atom of the summary that holds
-    the value at the slot's position.  A binary atom's slot is
+def _operand_index(summary: Dataset) -> tuple[dict[str, dict[tuple, list]], frozenset[str]]:
+    """The walk's index of one operand: value -> slot -> entries, one per
+    atom of the summary that holds the value at the slot's position, and
+    the binary predicates that are symmetric in the summary, each atom
+    ``p(a, b)`` with its reverse ``p(b, a)``.  A binary atom's slot is
     ``(pred, position)`` and its entry the value at the other position,
     its partner; any other atom's slot is ``(pred, position, arity)`` and
-    its entry the argument tuple."""
+    its entry the argument tuple.  Built once per ``Dataset`` and kept on
+    it as ``walk_index``."""
+    if summary.walk_index is not None:
+        return summary.walk_index
     index: dict[str, dict[tuple, list]] = {}
+    binary: dict[str, set[tuple]] = {}
     for a in summary.atoms:
         if len(a.args) == 2:
             s, o = a.args
             index.setdefault(s, {}).setdefault((a.pred, 0), []).append(o)
             index.setdefault(o, {}).setdefault((a.pred, 1), []).append(s)
+            binary.setdefault(a.pred, set()).add(a.args)
         else:
             for pos, value in enumerate(a.args):
                 slot = (a.pred, pos, len(a.args))
                 index.setdefault(value, {}).setdefault(slot, []).append(a.args)
-    return index
+    symmetric = frozenset(pred for pred, pairs in binary.items()
+                          if all((o, s) in pairs for s, o in pairs))
+    summary.walk_index = index, symmetric
+    return summary.walk_index
 
 
 def _reachable_product(
@@ -111,9 +123,20 @@ def _reachable_product(
     was walked before and has emitted the atom already: the repeat is
     still enumerated, but it costs one lookup and a compare, not a tuple
     built and hashed.  Atoms of other arities are joined into a set.
+
+    A predicate symmetric in every operand is symmetric in the product,
+    and its partners of c at position 0 are those at position 1 (the
+    undirected-graph view of a symmetric relation; Hell & Nesetril,
+    *Graphs and Homomorphisms*, 2004).  It is joined once per constant, at
+    whichever position the walk meets first, which numbers new partners
+    as the two joins did, and each edge emits both its atoms there:
+    ``p(c, d)`` and ``p(d, c)`` for a partner d numbered above c, and
+    ``p(c, c)`` once.
     """
-    indexes = {id(s): _operand_index(s) for s in summaries}  # one per distinct summary
-    first, *rest = [indexes[id(s)] for s in summaries]
+    indexes = [_operand_index(s) for s in summaries]
+    first, *rest = [index for index, _symmetric in indexes]
+    # symmetric predicate -> the number of the constant last joined by it
+    joined = dict.fromkeys(frozenset.intersection(*[sym for _index, sym in indexes]), -1)
     number = {c: i for i, c in enumerate(dict.fromkeys(frees))}
     consts = list(number)
     rows: list[tuple[str, tuple[int, ...]]] = []
@@ -132,6 +155,23 @@ def _reachable_product(
             else:
                 if len(slot) == 2:
                     pred, pos = slot
+                    last = joined.get(pred)
+                    if last is not None:  # symmetric in every operand
+                        if last == i:
+                            continue  # joined at the other position
+                        joined[pred] = i
+                        for partner in itertools.product(*pools):
+                            j = number.get(partner)
+                            if j is None:  # met for the first time
+                                j = number[partner] = len(consts)
+                                consts.append(partner)
+                            elif j <= i:
+                                if j == i:
+                                    rows.append((pred, (i, i)))
+                                continue  # emitted from the lower-numbered end
+                            rows.append((pred, (i, j)))
+                            rows.append((pred, (j, i)))
+                        continue
                     for partner in itertools.product(*pools):
                         j = number.get(partner)
                         if j is None:  # met for the first time

@@ -23,9 +23,11 @@ Each node is cheap:
   set lookup.  The index is built per search, except that the core keeps
   one index of its current atoms for the whole pass, taking out and
   putting back one atom per test, a whole dataset's index is built at
-  most once per ``Dataset`` (``_dataset_target``), for ``evaluate`` and
-  the candidates of a sweep below, and the expansion graph indexes each
-  can once (``expansion._Can``).  A summary's index is never kept.
+  most once per ``Dataset`` (``_dataset_target``), for ``evaluate``, the
+  candidates of a sweep below and every membership whose summary is the
+  KB's dataset itself (the ``full`` selector), and the expansion graph
+  indexes each can once (``expansion._Can``).  No other summary's index
+  is kept.
 * After each choice, forward checking asks the target only about the
   atoms of the chosen variable that still have an open slot.  An atom
   whose variables are all assigned already holds: its last variable was
@@ -36,10 +38,14 @@ Each node is cheap:
   position, and a group is one query however many atoms it has: the
   target's projection of the chosen value onto the other position
   (``_Target.project``), memoised per value, intersected into each
-  partner still open.  Intersection does not depend on order, so the
-  tree is again the same.  In the canonical characterization of a
-  3-colourability reduction a variable holds about 60 ``arc`` atoms on
-  average, in two groups.
+  partner still open.  A variable whose partners of a predicate are the
+  same in both positions, as under a symmetric relation, has one group
+  for both, asked the projection of T ∩ T⁻¹: narrowing a partner by both
+  projections at once gives what the two groups give in turn.
+  Intersection does not depend on order, so the tree is again the same.
+  In the canonical characterization of a 3-colourability reduction a
+  variable holds about 60 ``arc`` atoms on average, with each partner in
+  both positions, so in one group.
 * The search is a loop over an explicit stack.  Narrowed candidate sets
   are recorded on a trail and restored on backtracking, and the open
   variables wait in buckets by candidate count, sorted by name, so
@@ -151,17 +157,21 @@ class _Source:
     order.
 
     Forward checking reads two lists per slot.  An atom over two distinct
-    unpinned variables is in ``pairs``: each of its slots lists it under
-    the group key ``((pred, 2), p, q)``, its own position ``p`` and its
-    partner's ``q``, as ``(key, p, q, partner slots)``, one entry per
-    group.  Every other atom holding an unpinned variable is in that
-    variable's ``by_var`` as ``((pred, arity), slots, repeats)``.
+    unpinned variables is in ``pairs``: the atoms of a predicate are
+    gathered into each slot's forward partners (the slot at position 0)
+    and backward ones (at position 1), and each list is a group
+    ``(key, p, q, partner slots)`` with ``key`` ``(pred, 2)``, the slot's
+    position ``p`` and its partners' ``q``.  A slot whose two lists are
+    equal as sets has one group for both, with ``p`` and ``q`` None.
+    Every other atom holding an unpinned variable is in that variable's
+    ``by_var`` as ``((pred, arity), slots, repeats)``.
 
     The root pass checks every row.  An atom whose arguments are distinct
     unpinned variables only restricts each to a column of the target, so
     it intersects columns once per distinct set of them (``by_columns``);
-    a pair atom's columns are those of its group keys.  Every other atom,
-    nullary ones included, is asked of the index (``fixed_atoms``).
+    a pair atom's columns are those of its slots' positions, both for a
+    both-roles group.  Every other atom, nullary ones included, is asked
+    of the index (``fixed_atoms``).
     """
 
     __slots__ = ("terms", "slot", "template", "by_var", "pairs", "by_rank", "rank",
@@ -177,19 +187,18 @@ class _Source:
         open_slot = [is_var(t) and t not in pinned for t in terms]
         self.fixed_atoms = []
         by_var: dict[int, list] = defaultdict(list)
-        pairs: dict[int, dict] = defaultdict(dict)  # slot -> group key -> partner slots
+        # pred -> slot -> partners at position 1 (forward) and at 0 (backward)
+        roles: dict[str, tuple[dict, dict]] = {}
         columns: dict[int, set] = defaultdict(set)
-        roles: dict[str, tuple] = {}  # pred -> the group keys of its two positions
         for pred, slots in rows:
             if len(slots) == 2:
                 a, b = slots
                 if a != b and open_slot[a] and open_slot[b]:
                     role = roles.get(pred)
                     if role is None:
-                        key = (pred, 2)
-                        role = roles[pred] = ((key, 0, 1), (key, 1, 0))
-                    pairs[a].setdefault(role[0], []).append(b)
-                    pairs[b].setdefault(role[1], []).append(a)
+                        role = roles[pred] = (defaultdict(list), defaultdict(list))
+                    role[0][a].append(b)
+                    role[1][b].append(a)
                     continue
             key = (pred, len(slots))
             compiled = (key, slots, len(set(slots)) < len(slots))
@@ -206,10 +215,26 @@ class _Source:
         self.by_var = [()] * len(terms)
         for s, atoms in by_var.items():
             self.by_var[s] = atoms
+        pairs: dict[int, list] = defaultdict(list)  # slot -> its groups
+        for pred, (forward, backward) in roles.items():
+            key = (pred, 2)
+            for s, ahead in forward.items():
+                behind = backward.pop(s, None)
+                if behind is None:
+                    pairs[s].append((key, 0, 1, ahead))
+                    columns[s].add((key, 0))
+                    continue
+                if len(ahead) == len(behind) and set(ahead) == set(behind):
+                    pairs[s].append((key, None, None, ahead))
+                else:
+                    pairs[s] += [(key, 0, 1, ahead), (key, 1, 0, behind)]
+                columns[s].update([(key, 0), (key, 1)])
+            for s, behind in backward.items():
+                pairs[s].append((key, 1, 0, behind))
+                columns[s].add((key, 1))
         self.pairs = [()] * len(terms)
         for s, groups in pairs.items():
-            columns[s].update([(key, p) for key, p, _q in groups])
-            self.pairs[s] = [(*group, partners) for group, partners in groups.items()]
+            self.pairs[s] = groups
         self.by_rank = sorted(by_var.keys() | pairs.keys(), key=lambda s: terms[s].name)
         self.rank = [0] * len(terms)
         for i, s in enumerate(self.by_rank):
@@ -277,24 +302,38 @@ class _Target:
         """The values at position ``q`` of the tuples holding ``val`` at
         position ``p``, or None when no tuple holds it: what ``supports``
         offers the open slot of a binary atom whose other slot is fixed to
-        ``val``.  Memoised per ``(key, p, q)`` and value; the set must not
+        ``val``.  With ``p`` and ``q`` None, a binary relation T is asked
+        for both roles at once: the values w with both ``(val, w)`` and
+        ``(w, val)`` in T, the projection of T ∩ T⁻¹, or None when there
+        is none.  Memoised per ``(key, p, q)`` and value; the set must not
         be mutated."""
         memo = self._projections.get((key, p, q))
         if memo is None:
             memo = self._projections[(key, p, q)] = {}
         values = memo.get(val, _UNSET)
         if values is _UNSET:
-            holding = self._holding(key, p, val)
-            values = memo[val] = None if holding is None else {tt[q] for tt in holding}
+            if p is None:
+                ahead = self._holding(key, 0, val)
+                behind = self._holding(key, 1, val)
+                values = None if ahead is None or behind is None else (
+                    {tt[1] for tt in ahead} & {tt[0] for tt in behind} or None)
+            else:
+                holding = self._holding(key, p, val)
+                values = None if holding is None else {tt[q] for tt in holding}
+            memo[val] = values
         return values
 
     def _forget_projections(self, key, args: tuple):
-        """Drop the memoised projections that ``args`` takes part in."""
+        """Drop the memoised projections that ``args`` takes part in, those
+        of both roles included."""
+        both = self._projections.get((key, None, None))
         for p, value in enumerate(args):
             for q in range(len(args)):
                 memo = self._projections.get((key, p, q))
                 if memo is not None:
                     memo.pop(value, None)
+            if both is not None:
+                both.pop(value, None)
 
     def discard(self, pred: str, args: tuple):
         """Take one indexed atom out, keeping the lookups built so far in
@@ -478,7 +517,8 @@ def _run(
     ``fixed_atoms``, through ``_Target._scan`` for repeats), and
     ``propagate`` does the same for an atom left with one open variable:
     a pair atom's partner is narrowed to the projection of the chosen
-    value, which is what ``supports`` would offer it.
+    value (of both roles at once in a both-roles group), which is what
+    ``supports`` would offer it.
     Candidates only shrink until ``undo`` restores them together with
     that narrowing, so any value the variable then takes completes a
     tuple of the target.  ``propagate`` therefore skips the atoms with
@@ -847,7 +887,8 @@ def _membership_test(
         summary = kb.summary(tau)
         if not consts <= summary.domain:
             return False
-        return _run(source, _Target(summary.atoms), pins, budget) is not None
+        target = _dataset_target(summary) if summary is kb.dataset else _Target(summary.atoms)
+        return _run(source, target, pins, budget) is not None
 
     return is_instance
 

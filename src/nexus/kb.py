@@ -111,7 +111,7 @@ def _check_arities(atoms: Iterable[Atom]) -> dict[str, int]:
 class Dataset:
     """A finite nonempty set of ground atoms closed under ``top``."""
 
-    __slots__ = ("atoms", "domain", "omega", "_by_subject", "hom_index")
+    __slots__ = ("atoms", "domain", "omega", "_by_subject", "hom_index", "walk_index")
 
     def __init__(self, atoms: Iterable[Atom]):
         atomset = frozenset(atoms)
@@ -134,6 +134,9 @@ class Dataset:
         # the homomorphism kernel's index of the whole dataset, built on
         # first use by ``homs._dataset_target``
         self.hom_index = None
+        # the product walk's index of the dataset as one operand, built on
+        # first use by ``characterize._operand_index``
+        self.walk_index = None
 
     def by_subject(self) -> dict[str, tuple[Atom, ...]]:
         """Binary atoms grouped by their first argument (``top`` is unary,

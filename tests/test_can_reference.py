@@ -95,9 +95,13 @@ def walks(draw):
     """1-3 operands over up to four constants with unary, binary and
     ternary atoms and binary self-loops, possibly one dataset for every
     operand (as under ``full``), and frees that may repeat and may be
-    genes ``(b, ..., b)``."""
+    genes ``(b, ..., b)``.  Binary relations may be closed under reversal,
+    in every operand or in only some: the walk joins a relation symmetric
+    in every operand at one position only."""
     consts = [f"e{i}" for i in range(1, draw(st.integers(1, 4)) + 1)]
     term = st.sampled_from(consts)
+    mirrored = draw(st.sampled_from([(), ("p",), ("r",), ("p", "r")]))
+    everywhere = draw(st.booleans())
     operands = []
     for _ in range(draw(st.integers(1, 3))):
         atoms = [Atom(TOP, (draw(term),))]
@@ -105,6 +109,8 @@ def walks(draw):
             atoms += [Atom(pred, args)
                       for args in draw(st.lists(st.tuples(*[term] * arity), max_size=6))]
         atoms += [Atom("p", (c, c)) for c in draw(st.lists(term, max_size=2))]
+        if everywhere or draw(st.booleans()):
+            atoms += [Atom(a.pred, a.args[::-1]) for a in atoms if a.pred in mirrored]
         operands.append(close_under_top(atoms))
     if len(operands) > 1 and draw(st.booleans()):
         operands = [operands[0]] * len(operands)

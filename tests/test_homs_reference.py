@@ -218,27 +218,77 @@ def test_same_outcome_as_reference_on_dense_binary_problems(problem):
         assert _outcome(_search, source, target, pins, injective, budget) == expected, budget
 
 
+@st.composite
+def mirrored_pairs(draw, terms, min_size, max_size):
+    """Pairs over ``terms`` with the reverses of none, all or some of them."""
+    pairs = draw(st.lists(st.tuples(st.sampled_from(terms), st.sampled_from(terms)),
+                          min_size=min_size, max_size=max_size, unique=True))
+    mirrored = draw(st.sampled_from(["none", "all", "some"]))
+    if mirrored == "all":
+        pairs += [(b, a) for a, b in pairs]
+    elif mirrored == "some" and pairs:
+        pairs += [(b, a) for a, b in draw(st.lists(st.sampled_from(pairs)))]
+    return list(dict.fromkeys(pairs))
+
+
+@st.composite
+def mirrored_binary_problems(draw):
+    """Problems whose source holds binary atoms with their reverses, for
+    all, some or none of them, into a target whose relations are
+    symmetric, partly symmetric or not: a variable whose partners of a
+    predicate are the same in both roles is one group, narrowed by the
+    projection of T ∩ T⁻¹, and one whose roles differ is two."""
+    source, target = [], []
+    consts = CONSTS[:draw(st.integers(3, 4))]
+    for pred in PAIR_PREDS:
+        source += [Atom(pred, args) for args in draw(mirrored_pairs(SOURCE_VARS[:4], 3, 8))]
+        target += [Atom(pred, args) for args in draw(mirrored_pairs(consts, 6, 9))]
+    pins = {v: draw(st.sampled_from(consts))
+            for v in draw(st.lists(st.sampled_from(SOURCE_VARS), max_size=2))}
+    return source, target, pins, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(mirrored_binary_problems())
+def test_same_outcome_as_reference_on_mirrored_binary_problems(problem):
+    """The same first solution, and budget points, as the reference: the
+    one projection of a both-roles group narrows a partner to what the two
+    groups of its roles give in turn."""
+    source, target, pins, injective = problem
+    nodes = _nodes(source, target, pins, injective)
+    for budget in (None, *range(12), max(nodes - 1, 0), nodes):
+        expected = _outcome(reference_homs._search, source, target, pins, injective, budget)
+        assert _outcome(_search, source, target, pins, injective, budget) == expected, budget
+
+
 INDEX_PREDS = [("r", 2), ("t", 3)]
 INDEX_ATOMS = [Atom(pred, args) for pred, arity in INDEX_PREDS
                for args in itertools.product(CONSTS[:3], repeat=arity)]
 PROJECTIONS = [((pred, arity), p, val, q) for pred, arity in INDEX_PREDS
                for p in range(arity) for q in range(arity) if p != q for val in CONSTS[:3]]
+# both roles of the binary relation: the projection of T ∩ T⁻¹
+PROJECTIONS += [(("r", 2), None, val, None) for val in CONSTS[:3]]
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.sampled_from(INDEX_ATOMS), max_size=20, unique=True),
        st.lists(st.sampled_from(INDEX_ATOMS), max_size=30))
 def test_projections_follow_discard_and_add(start, toggles):
-    """``_Target.project``, memoised, against a recomputation from the
-    atoms present, after each ``discard`` or ``add``: every toggle takes
-    out an atom present or puts back one absent, as the core does."""
+    """``_Target.project``, memoised, for one role and for both, against
+    a recomputation from the atoms present, after each ``discard`` or
+    ``add``: every toggle takes out an atom present or puts back one
+    absent, as the core does."""
     target = _Target(start)
     atoms = set(start)
 
     def check():
         for key, p, val, q in PROJECTIONS:
-            values = {a.args[q] for a in atoms
-                      if (a.pred, len(a.args)) == key and a.args[p] == val}
+            if p is None:
+                values = {a.args[1] for a in atoms if (a.pred, len(a.args)) == key
+                          and a.args[0] == val and Atom(a.pred, a.args[::-1]) in atoms}
+            else:
+                values = {a.args[q] for a in atoms
+                          if (a.pred, len(a.args)) == key and a.args[p] == val}
             assert target.project(key, p, val, q) == (values or None), (key, p, val, q)
 
     check()
