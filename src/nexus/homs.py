@@ -16,18 +16,19 @@ source lacks included, and turns the image into a map.
 Each node is cheap:
 
 * The target is indexed: its argument tuples by predicate and arity, and,
-  built on first use, the tuples holding a given value at a given position,
-  the set of values of each column and the projections of forward
-  checking (below).  An atom's supports come from the
-  shortest tuple list of its fixed positions; a fully fixed atom is one
-  set lookup.  The index is built per search, except that the core keeps
-  one index of its current atoms for the whole pass, taking out and
-  putting back one atom per test, a whole dataset's index is built at
-  most once per ``Dataset`` (``_dataset_target``), for ``evaluate``, the
-  candidates of a sweep below and every membership whose summary is the
-  KB's dataset itself (the ``full`` selector), and the expansion graph
-  indexes each can once (``expansion._Can``).  No other summary's index
-  is kept.
+  built on first use, the set of values of each column and, per value
+  and position, its partners (the values at the other position) in a
+  binary relation and the tuples holding it at any other arity.  An
+  atom's supports come from the smallest set of its fixed positions, a
+  stored partner set when one end of a binary atom is fixed, and a fully
+  fixed atom is one set lookup.  The index is built per search, except
+  that the core keeps one index of its current atoms for the whole pass,
+  taking out and putting back one atom per test, a whole dataset's index
+  is built at most once per ``Dataset`` (``_dataset_target``), for
+  ``evaluate``, the candidates of a sweep below and every membership
+  whose summary is the KB's dataset itself (the ``full`` selector), and
+  the expansion graph indexes each can once (``expansion._Can``).  No
+  other summary's index is kept.
 * After each choice, forward checking asks the target only about the
   atoms of the chosen variable that still have an open slot.  An atom
   whose variables are all assigned already holds: its last variable was
@@ -36,13 +37,14 @@ Each node is cheap:
 * Forward checking asks by relation.  The binary atoms over two distinct
   open variables are grouped per variable by predicate and the variable's
   position, and a group is one query however many atoms it has: the
-  target's projection of the chosen value onto the other position
-  (``_Target.project``), memoised per value, intersected into each
-  partner still open.  A variable whose partners of a predicate are the
-  same in both positions, as under a symmetric relation, has one group
-  for both, asked the projection of T ∩ T⁻¹: narrowing a partner by both
-  projections at once gives what the two groups give in turn.
-  Intersection does not depend on order, so the tree is again the same.
+  chosen value's partners at the other position (``_Target.project``),
+  read off the index and intersected into each partner still open.  A
+  variable whose partners of a predicate are the same in both positions,
+  as under a symmetric relation, has one group for both, asked the
+  partners under T ∩ T⁻¹, the intersection of the value's two partner
+  sets: narrowing a partner by both at once gives what the two groups
+  give in turn.  Intersection does not depend on order, so the tree is
+  again the same.
   In the canonical characterization of a 3-colourability reduction a
   variable holds about 60 ``arc`` atoms on average, with each partner in
   both positions, so in one group.
@@ -160,9 +162,9 @@ class _Source:
     unpinned variables is in ``pairs``: the atoms of a predicate are
     gathered into each slot's forward partners (the slot at position 0)
     and backward ones (at position 1), and each list is a group
-    ``(key, p, q, partner slots)`` with ``key`` ``(pred, 2)``, the slot's
-    position ``p`` and its partners' ``q``.  A slot whose two lists are
-    equal as sets has one group for both, with ``p`` and ``q`` None.
+    ``(key, p, partners)`` with ``key`` ``(pred, 2)``, the slot's
+    position ``p`` and the partner slots.  A slot whose two lists are
+    equal as sets has one group for both, with ``p`` None.
     Every other atom holding an unpinned variable is in that variable's
     ``by_var`` as ``((pred, arity), slots, repeats)``.
 
@@ -221,16 +223,16 @@ class _Source:
             for s, ahead in forward.items():
                 behind = backward.pop(s, None)
                 if behind is None:
-                    pairs[s].append((key, 0, 1, ahead))
+                    pairs[s].append((key, 0, ahead))
                     columns[s].add((key, 0))
                     continue
                 if len(ahead) == len(behind) and set(ahead) == set(behind):
-                    pairs[s].append((key, None, None, ahead))
+                    pairs[s].append((key, None, ahead))
                 else:
-                    pairs[s] += [(key, 0, 1, ahead), (key, 1, 0, behind)]
+                    pairs[s] += [(key, 0, ahead), (key, 1, behind)]
                 columns[s].update([(key, 0), (key, 1)])
             for s, behind in backward.items():
-                pairs[s].append((key, 1, 0, behind))
+                pairs[s].append((key, 1, behind))
                 columns[s].add((key, 1))
         self.pairs = [()] * len(terms)
         for s, groups in pairs.items():
@@ -265,31 +267,43 @@ def _numbered(atoms: Iterable[Atom]) -> tuple[list, list[tuple[str, tuple[int, .
 
 
 class _Target:
-    """Index of a target atom set for the supports of source atoms and
-    the projections of pair atoms.  ``discard`` and ``add`` keep every
-    lookup built so far in step, so one index can serve a whole pass."""
+    """Index of a target atom set for the supports of source atoms.  Per
+    position of a binary relation it keeps each value's partners, the
+    values at the other position, and per position of any other arity the
+    tuples holding each value; ``discard`` and ``add`` keep every lookup
+    built so far in step, so one index can serve a whole pass."""
 
-    __slots__ = ("rows", "_by_value", "_columns", "_projections")
+    __slots__ = ("rows", "_by_value", "_columns")
 
     def __init__(self, atoms: Iterable[Atom]):
         rows = self.rows = defaultdict(set)
         for a in atoms:
             rows[(a.pred, len(a.args))].add(a.args)
-        self._by_value: dict[tuple, dict] = {}  # (key, pos) -> value -> tuples
+        self._by_value: dict[tuple, dict] = {}  # (key, pos) -> value -> partners or tuples
         self._columns: dict[tuple, set] = {}  # (key, pos) -> values
-        self._projections: dict[tuple, dict] = {}  # (key, p, q) -> value -> values or None
 
     def _holding(self, key, pos, value):
+        """The partners of ``value`` at position ``pos`` of a binary
+        relation, or the tuples holding it there at any other arity; None
+        when no tuple holds it."""
         by_value = self._by_value.get((key, pos))
         if by_value is None:
-            by_value = {}
-            for tt in self.rows[key]:
-                found = by_value.get(tt[pos])
-                if found is None:
-                    by_value[tt[pos]] = [tt]
-                else:
-                    found.append(tt)
-            self._by_value[(key, pos)] = by_value
+            by_value = self._by_value[(key, pos)] = {}
+            if key[1] == 2:
+                other = 1 - pos
+                for tt in self.rows[key]:
+                    found = by_value.get(tt[pos])
+                    if found is None:
+                        by_value[tt[pos]] = {tt[other]}
+                    else:
+                        found.add(tt[other])
+            else:
+                for tt in self.rows[key]:
+                    found = by_value.get(tt[pos])
+                    if found is None:
+                        by_value[tt[pos]] = {tt}
+                    else:
+                        found.add(tt)
         return by_value.get(value)
 
     def column(self, key, pos):
@@ -298,55 +312,32 @@ class _Target:
             values = self._columns[(key, pos)] = {tt[pos] for tt in self.rows[key]}
         return values
 
-    def project(self, key, p, val, q):
-        """The values at position ``q`` of the tuples holding ``val`` at
-        position ``p``, or None when no tuple holds it: what ``supports``
-        offers the open slot of a binary atom whose other slot is fixed to
-        ``val``.  With ``p`` and ``q`` None, a binary relation T is asked
-        for both roles at once: the values w with both ``(val, w)`` and
-        ``(w, val)`` in T, the projection of T ∩ T⁻¹, or None when there
-        is none.  Memoised per ``(key, p, q)`` and value; the set must not
-        be mutated."""
-        memo = self._projections.get((key, p, q))
-        if memo is None:
-            memo = self._projections[(key, p, q)] = {}
-        values = memo.get(val, _UNSET)
-        if values is _UNSET:
-            if p is None:
-                ahead = self._holding(key, 0, val)
-                behind = self._holding(key, 1, val)
-                values = None if ahead is None or behind is None else (
-                    {tt[1] for tt in ahead} & {tt[0] for tt in behind} or None)
-            else:
-                holding = self._holding(key, p, val)
-                values = None if holding is None else {tt[q] for tt in holding}
-            memo[val] = values
-        return values
-
-    def _forget_projections(self, key, args: tuple):
-        """Drop the memoised projections that ``args`` takes part in, those
-        of both roles included."""
-        both = self._projections.get((key, None, None))
-        for p, value in enumerate(args):
-            for q in range(len(args)):
-                memo = self._projections.get((key, p, q))
-                if memo is not None:
-                    memo.pop(value, None)
-            if both is not None:
-                both.pop(value, None)
+    def project(self, key, p, val):
+        """The partners of ``val`` at position ``p`` of the binary relation
+        T under ``key``, or None when no tuple holds it there: what
+        ``supports`` offers the open slot of a binary atom whose other
+        slot is fixed to ``val``.  With ``p`` None, T is asked for both
+        roles at once: the values w with both ``(val, w)`` and ``(w, val)``
+        in T, the partners under T ∩ T⁻¹, computed per call, or None when
+        there is none.  The set must not be mutated."""
+        if p is not None:
+            return self._holding(key, p, val)
+        ahead = self._holding(key, 0, val)
+        behind = self._holding(key, 1, val)
+        if ahead is None or behind is None:
+            return None
+        return ahead & behind or None
 
     def discard(self, pred: str, args: tuple):
         """Take one indexed atom out, keeping the lookups built so far in
         step."""
         key = (pred, len(args))
         self.rows[key].discard(args)
-        if self._projections:
-            self._forget_projections(key, args)
         for pos, value in enumerate(args):
             by_value = self._by_value.get((key, pos))
             if by_value is not None:
                 holding = by_value[value]
-                holding.remove(args)
+                holding.discard(args[1 - pos] if len(args) == 2 else args)
                 if not holding:
                     del by_value[value]
             column = self._columns.get((key, pos))
@@ -357,12 +348,15 @@ class _Target:
         """Add an atom, or put back one taken out by ``discard``."""
         key = (pred, len(args))
         self.rows[key].add(args)
-        if self._projections:
-            self._forget_projections(key, args)
         for pos, value in enumerate(args):
             by_value = self._by_value.get((key, pos))
             if by_value is not None:
-                by_value.setdefault(value, []).append(args)
+                entry = args[1 - pos] if len(args) == 2 else args
+                holding = by_value.get(value)
+                if holding is None:
+                    by_value[value] = {entry}
+                else:
+                    holding.add(entry)
             column = self._columns.get((key, pos))
             if column is not None:
                 column.add(value)
@@ -371,7 +365,9 @@ class _Target:
         """The target tuples compatible with the fixed arguments of a
         compiled atom: None when there is none, otherwise ``(slot, values)``
         for each open slot, the values the tuples offer it (an empty list
-        when every argument is fixed).  The value sets must not be mutated.
+        when every argument is fixed).  A binary atom with one end fixed is
+        offered that end's partner set as the index stores it.  The value
+        sets must not be mutated.
         """
         rows = self.rows.get(key)
         if not rows:
@@ -392,6 +388,9 @@ class _Target:
             return self._scan(rows, key, fixed, open_slots, open_pos)
         if not fixed:
             return [(s, self.column(key, p)) for s, p in zip(open_slots, open_pos)]
+        if key[1] == 2:
+            partners = self._holding(key, *fixed[0])
+            return None if partners is None else [(open_slots[0], partners)]
         best = None
         for pos, val in fixed:
             holding = self._holding(key, pos, val)
@@ -407,7 +406,8 @@ class _Target:
 
     def _scan(self, rows, key, fixed, open_slots, open_pos):
         """Supports of an atom that repeats an open slot: the tuples must
-        agree on every position of that slot."""
+        agree on every position of that slot.  A binary such atom has no
+        fixed position, so every set read here is a set of tuples."""
         candidates = rows
         for pos, val in fixed:
             holding = self._holding(key, pos, val)
@@ -474,7 +474,6 @@ def _search(
     target_atoms: Iterable[Atom],
     pins: dict,
     budget: int | None = None,
-    injective: bool = False,
 ):
     """``find_hom`` on atoms: ``_run`` behind the pin contract.  A pin may
     not move a source constant, and one on a term the source lacks needs
@@ -488,10 +487,7 @@ def _search(
     absent = {v for k, v in pins.items() if k not in source.slot}
     if absent and absent - {t for rows in target.rows.values() for tt in rows for t in tt}:
         return None
-    used = set(known.values()) if injective else None
-    if injective and len(used) != len(known):
-        return None
-    image = _run(source, target, pins, budget, used)
+    image = _run(source, target, pins, budget)
     if image is None:
         return None
     known.update(zip(source.terms, image))
@@ -503,22 +499,19 @@ def _run(
     target: _Target,
     pins: dict,
     budget: int | None = None,
-    used: set | None = None,
 ):
     """The first homomorphism extending ``pins`` as its image, one value
     per slot, or None.  ``source`` must be compiled with exactly the keys
-    of ``pins``.  An injective search passes ``used``, the values no
-    variable may take, and adds its choices.  One budget unit is spent per
-    value tried.
+    of ``pins``.  One budget unit is spent per value tried.
 
     Invariant: every atom whose slots all have an image holds in the
     target.  The root pass narrows the slot of an atom with one open
     variable with every other argument fixed (a column intersection, or
     ``fixed_atoms``, through ``_Target._scan`` for repeats), and
     ``propagate`` does the same for an atom left with one open variable:
-    a pair atom's partner is narrowed to the projection of the chosen
-    value (of both roles at once in a both-roles group), which is what
-    ``supports`` would offer it.
+    a pair atom's partner is narrowed to the chosen value's partners in
+    the target (under both roles at once in a both-roles group), which is
+    what ``supports`` would offer it.
     Candidates only shrink until ``undo`` restores them together with
     that narrowing, so any value the variable then takes completes a
     tuple of the target.  ``propagate`` therefore skips the atoms with
@@ -528,7 +521,6 @@ def _run(
     ``[]``, so the tree, its node count and its budget point are those of
     asking every atom."""
     image = source.image_of(pins)
-    injective = used is not None
 
     # root pass: every atom must have support, var domains start narrowed
     domains: list = [None] * len(image)
@@ -545,8 +537,6 @@ def _run(
         return None
     by_rank = source.by_rank
     for s in by_rank:
-        if injective:
-            domains[s] = domains[s] - used
         if not domains[s]:
             return None
 
@@ -599,18 +589,18 @@ def _run(
 
     def propagate(var, val) -> bool:
         """Forward check the atoms of ``var`` that still have an open
-        slot, narrowing on the trail: one projection of the target per
+        slot, narrowing on the trail: one partner set of the target per
         group of ``var``'s binary atoms, intersected into each partner
         still open, and ``supports`` for every other atom.  By the
         invariant of ``_run``, an atom with no open slot holds, so skipping
         it keeps the search tree (Haralick & Elliott, 1980)."""
-        for key, p, q, partners in pairs[var]:
+        for key, p, partners in pairs[var]:
             values = _UNSET
             for u in partners:
                 if image[u] is not None:
                     continue
                 if values is _UNSET:
-                    values = project(key, p, val, q)
+                    values = project(key, p, val)
                     if values is None:
                         return False
                 current = domains[u]
@@ -635,13 +625,6 @@ def _run(
                     return False
                 if len(narrowed) != len(current):
                     narrow(u, current, narrowed)
-        if injective:
-            for u in by_rank:
-                if image[u] is None and val in domains[u]:
-                    current = domains[u]
-                    if len(current) == 1:
-                        return False
-                    narrow(u, current, current - {val})
         return True
 
     if not buckets:
@@ -654,8 +637,6 @@ def _run(
         frame = frames[-1]
         var, values, mark = frame[0], frame[1], frame[3]
         if image[var] is not None:  # back from a failed subtree: retract the value
-            if injective:
-                used.discard(image[var])
             image[var] = None
             undo(mark)
         i = frame[2]
@@ -663,8 +644,6 @@ def _run(
             val = values[i]
             i += 1
             meter.spend()
-            if injective and val in used:
-                continue
             image[var] = val
             if propagate(var, val):
                 break
@@ -675,8 +654,6 @@ def _run(
             frames.pop()
             put_back(var)
             continue
-        if injective:
-            used.add(val)
         if not buckets:
             return image
         var = pick()
@@ -715,23 +692,43 @@ def equivalent(phi1: Formula, phi2: Formula, budget: int | None = None) -> bool:
     return maps_to(phi1, phi2, budget) and maps_to(phi2, phi1, budget)
 
 
-def _domain_size(phi: Formula) -> int:
-    return len({t for a in phi.atoms for t in a.args})
+def _terms(phi: Formula) -> set:
+    return {t for a in phi.atoms for t in a.args}
+
+
+# Holds no predicate's name: ``kb.check_name`` rejects a name with "|".
+_NEQ = "|neq"
+
+
+def _distinct(terms) -> list[Atom]:
+    """``_NEQ(s, t)`` for every two distinct terms."""
+    return [Atom(_NEQ, pair) for pair in itertools.permutations(terms, 2)]
 
 
 def is_isomorphic(phi1: Formula, phi2: Formula, budget: int | None = None) -> bool:
     """A bijective, free-variable-aligned, constant-preserving hom whose
-    atom image is exactly the other atom set."""
+    atom image is exactly the other atom set.
+
+    After the checks, both sides have as many terms and as many atoms, so
+    an injective hom is such a bijection.  A hom is injective exactly when
+    it preserves ≠, so this is one search with ``_NEQ(s, t)`` added on
+    each side for every two distinct terms: O(n²) atoms over n terms (Hell
+    & Nešetřil, *Graphs and Homomorphisms*, 2004).  A variable's ≠ group
+    removes its value from every open partner, so the search tree, and
+    with it the budget point, is that of an injective search that skips
+    the values in use; ``budget`` caps it as it caps any search."""
     if phi1.arity != phi2.arity:
         return False
-    if len(phi1.atoms) != len(phi2.atoms) or _domain_size(phi1) != _domain_size(phi2):
+    terms1, terms2 = _terms(phi1), _terms(phi2)
+    if len(phi1.atoms) != len(phi2.atoms) or len(terms1) != len(terms2):
         return False
     if _signature(phi1) != _signature(phi2):
         return False
     pins = _free_pins(phi1.free_vars, phi2.free_vars)
     if pins is None:
         return False
-    return _search(phi1.atoms, phi2.atoms, pins, budget, injective=True) is not None
+    return _search([*phi1.atoms, *_distinct(terms1)], [*phi2.atoms, *_distinct(terms2)],
+                   pins, budget) is not None
 
 
 def fold_formula(phi: Formula) -> Formula:
@@ -831,7 +828,7 @@ def _candidates(source: _Source, head: tuple, dataset: Dataset) -> Iterator[Cons
         return
     if len(head) == 1:
         for c in sorted(allowed[head[0]]):
-            yield target._holding((TOP, 1), 0, c)[0]
+            yield next(iter(target._holding((TOP, 1), 0, c)))
         return
     distinct = list(dict.fromkeys(head))
     for combo in itertools.product(*[sorted(allowed[v]) for v in distinct]):

@@ -14,7 +14,10 @@ from the code it was replaced by:
   summary is selected and indexed;
 * ``fold_formula`` as it was before the fold asked the kernel's index:
   its own ``(pred, arity, pos, term)`` index, its own term numbering in
-  ``term_key`` order, and ``_folds`` trying each candidate image in turn.
+  ``term_key`` order, and ``_folds`` trying each candidate image in turn;
+* ``is_isomorphic`` as it was before the ≠ reduction: the same checks,
+  then one search in the kernel's injective mode, here the reference
+  kernel's.
 """
 
 from __future__ import annotations
@@ -25,7 +28,9 @@ from collections.abc import Callable, Iterable
 
 from nexus.errors import ArityMismatch
 from nexus.formulas import Formula, canonical_rename
-from nexus.homs import DEFAULT_BUDGET, _Budget, _run, _Source, _Target
+from nexus.homs import (
+    DEFAULT_BUDGET, _Budget, _free_pins, _run, _signature, _Source, _Target, _terms,
+)
 from nexus.kb import Atom, ConstTuple, SelectiveKB, Var, is_var, term_key
 
 
@@ -336,3 +341,16 @@ def _folds(v: int, held: set[tuple], rows: dict, index: dict) -> bool:
         all(tuple(w if t == v else t for t in r) in rows for r in held)
         for w in sorted(candidates)
     )
+
+
+def is_isomorphic(phi1: Formula, phi2: Formula, budget: int | None = None) -> bool:
+    if phi1.arity != phi2.arity:
+        return False
+    if len(phi1.atoms) != len(phi2.atoms) or len(_terms(phi1)) != len(_terms(phi2)):
+        return False
+    if _signature(phi1) != _signature(phi2):
+        return False
+    pins = _free_pins(phi1.free_vars, phi2.free_vars)
+    if pins is None:
+        return False
+    return _search(phi1.atoms, phi2.atoms, pins, budget, injective=True) is not None

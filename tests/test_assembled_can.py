@@ -141,8 +141,8 @@ def source_shape(source: _Source):
         "by_rank": [term(s).name for s in source.by_rank],
         "by_var": {term(s): sorted(map(atom, source.by_var[s]), key=repr)
                    for s in source.by_rank},
-        "pairs": {term(s): sorted(((key, p, q, sorted(map(term, partners), key=term_key))
-                                   for key, p, q, partners in source.pairs[s]), key=repr)
+        "pairs": {term(s): sorted(((key, p, sorted(map(term, partners), key=term_key))
+                                   for key, p, partners in source.pairs[s]), key=repr)
                   for s in source.by_rank},
         "template": sorted(zip(map(repr, source.terms), map(repr, source.template))),
     }

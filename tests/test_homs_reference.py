@@ -1,6 +1,10 @@
 """Differential tests: the indexed, iterative kernel against the recursive,
 scan-based kernel it replaced (``reference_homs``).  Both must return the
-same first solution or None, and run out of budget at the same node."""
+same first solution or None, and run out of budget at the same node.
+
+The kernel has no injective mode.  An injective problem is run as the
+search of the same atoms with a ≠ relation on both sides (``_kernel``),
+as ``is_isomorphic`` runs it, against the reference's injective mode."""
 
 import itertools
 from unittest import mock
@@ -9,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nexus.errors import BudgetExceeded
-from nexus.homs import _Budget, _search, _Target
+from nexus.formulas import Formula
+from nexus.homs import _Budget, _distinct, _search, _Target, is_isomorphic
 from nexus.kb import Atom, Var
 
 import reference_homs
@@ -48,6 +53,19 @@ def problems(draw):
     return source, target, pins, draw(st.booleans())
 
 
+def _terms_of(atoms) -> set:
+    return {t for a in atoms for t in a.args}
+
+
+def _kernel(source, target, pins, budget, injective):
+    """``_search``; an injective problem adds a ≠ relation over the
+    source's terms and pinned keys, and one over the target's terms."""
+    if injective:
+        source = source + _distinct(_terms_of(source) | pins.keys())
+        target = target + _distinct(_terms_of(target))
+    return _search(source, target, pins, budget)
+
+
 def _outcome(search, source, target, pins, injective, budget=None):
     try:
         return search(source, target, dict(pins), budget, injective)
@@ -55,21 +73,32 @@ def _outcome(search, source, target, pins, injective, budget=None):
         return "budget exceeded"
 
 
+def _same_outcome(problem, budgets):
+    """The kernel's first solution, or its budget point, is the
+    reference's at every budget.  Into a target of fewer than two terms
+    the ≠ relation is empty, so the root pass refutes an injective
+    problem that the reference refutes only after spending nodes: there
+    only the answer must agree."""
+    source, target, pins, injective = problem
+    for budget in budgets:
+        expected = _outcome(reference_homs._search, source, target, pins, injective, budget)
+        got = _outcome(_kernel, source, target, pins, injective, budget)
+        if injective and len(_terms_of(target)) < 2 and expected == "budget exceeded":
+            assert got in (None, expected), budget
+        else:
+            assert got == expected, budget
+
+
 @settings(max_examples=400, deadline=None)
 @given(problems())
 def test_same_first_solution_as_reference(problem):
-    source, target, pins, injective = problem
-    expected = _outcome(reference_homs._search, source, target, pins, injective)
-    assert _outcome(_search, source, target, pins, injective) == expected
+    _same_outcome(problem, [None])
 
 
 @settings(max_examples=150, deadline=None)
 @given(problems())
 def test_same_budget_exhaustion_as_reference(problem):
-    source, target, pins, injective = problem
-    for budget in range(12):
-        expected = _outcome(reference_homs._search, source, target, pins, injective, budget)
-        assert _outcome(_search, source, target, pins, injective, budget) == expected, budget
+    _same_outcome(problem, range(12))
 
 
 @pytest.mark.parametrize("injective", [False, True])
@@ -82,9 +111,7 @@ def test_same_answers_on_a_backtracking_search(injective):
     missing = {("c0", "c3"), ("c1", "c3")}
     target = [Atom("r", (x, y)) for x in CONSTS for y in CONSTS
               if x != y and (x, y) not in missing]
-    for budget in (None, *range(50)):
-        expected = _outcome(reference_homs._search, source, target, {}, injective, budget)
-        assert _outcome(_search, source, target, {}, injective, budget) == expected, budget
+    _same_outcome((source, target, {}, injective), (None, *range(50)))
 
 
 @st.composite
@@ -102,10 +129,7 @@ def problems_with_nullary(draw):
 @settings(max_examples=300, deadline=None)
 @given(problems_with_nullary())
 def test_same_outcome_as_reference_with_nullary_atoms(problem):
-    source, target, pins, injective = problem
-    for budget in (None, *range(12)):
-        expected = _outcome(reference_homs._search, source, target, pins, injective, budget)
-        assert _outcome(_search, source, target, pins, injective, budget) == expected, budget
+    _same_outcome(problem, (None, *range(12)))
 
 
 DENSE_PREDS = [("r", 2), ("t", 3), ("u", 3)]
@@ -131,10 +155,7 @@ def dense_problems(draw):
 @settings(max_examples=200, deadline=None)
 @given(dense_problems())
 def test_same_outcome_as_reference_on_dense_problems(problem):
-    source, target, pins, injective = problem
-    for budget in (None, *range(16)):
-        expected = _outcome(reference_homs._search, source, target, pins, injective, budget)
-        assert _outcome(_search, source, target, pins, injective, budget) == expected, budget
+    _same_outcome(problem, (None, *range(16)))
 
 
 A, B, G = Var("a"), Var("b"), Var("g")
@@ -165,7 +186,17 @@ PIN_TARGET.append(Atom("q", ("c3",)))
 def test_pins_against_reference(pins, injective, found):
     expected = _outcome(reference_homs._search, PIN_SOURCE, PIN_TARGET, pins, injective)
     assert (expected is not None) == found
-    assert _outcome(_search, PIN_SOURCE, PIN_TARGET, pins, injective) == expected
+    assert _outcome(_kernel, PIN_SOURCE, PIN_TARGET, pins, injective) == expected
+
+
+def test_injective_into_one_term_is_refuted_at_the_root():
+    """Two terms cannot map injectively into one.  The reference spends a
+    node to find that out; the ≠ relation of one term is empty, so the
+    kernel's root pass refutes it before the first node."""
+    problem = ([Atom("p", (A, B))], [Atom("p", ("c0", "c0"))], {}, True)
+    assert _outcome(reference_homs._search, *problem, 0) == "budget exceeded"
+    assert _outcome(_kernel, *problem, 0) is None
+    assert _outcome(reference_homs._search, *problem) is None
 
 
 PAIR_PREDS = ["p", "r"]
@@ -192,8 +223,8 @@ def dense_binary_problems(draw):
     return source, target, pins, draw(st.booleans())
 
 
-def _nodes(source, target, pins, injective):
-    """The nodes ``_search`` spends on a problem, found or not."""
+def _nodes(search, *args):
+    """The nodes ``search(*args)`` spends, found or not."""
     spent = []
     spend = _Budget.spend
 
@@ -202,7 +233,7 @@ def _nodes(source, target, pins, injective):
         spend(meter)
 
     with mock.patch.object(_Budget, "spend", counting):
-        _search(source, target, dict(pins), None, injective)
+        search(*args)
     return len(spent)
 
 
@@ -212,10 +243,8 @@ def test_same_outcome_as_reference_on_dense_binary_problems(problem):
     """A search of n nodes runs out of budget exactly at the budgets below
     n, so budgets up to 12 and n - 1 and n check every point."""
     source, target, pins, injective = problem
-    nodes = _nodes(source, target, pins, injective)
-    for budget in (None, *range(12), max(nodes - 1, 0), nodes):
-        expected = _outcome(reference_homs._search, source, target, pins, injective, budget)
-        assert _outcome(_search, source, target, pins, injective, budget) == expected, budget
+    nodes = _nodes(_kernel, source, target, dict(pins), None, injective)
+    _same_outcome(problem, (None, *range(12), max(nodes - 1, 0), nodes))
 
 
 @st.composite
@@ -255,41 +284,55 @@ def test_same_outcome_as_reference_on_mirrored_binary_problems(problem):
     one projection of a both-roles group narrows a partner to what the two
     groups of its roles give in turn."""
     source, target, pins, injective = problem
-    nodes = _nodes(source, target, pins, injective)
-    for budget in (None, *range(12), max(nodes - 1, 0), nodes):
-        expected = _outcome(reference_homs._search, source, target, pins, injective, budget)
-        assert _outcome(_search, source, target, pins, injective, budget) == expected, budget
+    nodes = _nodes(_kernel, source, target, dict(pins), None, injective)
+    _same_outcome(problem, (None, *range(12), max(nodes - 1, 0), nodes))
 
 
 INDEX_PREDS = [("r", 2), ("t", 3)]
+INDEX_VALUES = CONSTS[:3]
 INDEX_ATOMS = [Atom(pred, args) for pred, arity in INDEX_PREDS
-               for args in itertools.product(CONSTS[:3], repeat=arity)]
-PROJECTIONS = [((pred, arity), p, val, q) for pred, arity in INDEX_PREDS
-               for p in range(arity) for q in range(arity) if p != q for val in CONSTS[:3]]
-# both roles of the binary relation: the projection of T ∩ T⁻¹
-PROJECTIONS += [(("r", 2), None, val, None) for val in CONSTS[:3]]
+               for args in itertools.product(INDEX_VALUES, repeat=arity)]
+# every way to fix some positions of an atom with distinct slots 0, 1, ...
+INDEX_QUERIES = [((pred, arity), fixed) for pred, arity in INDEX_PREDS
+                 for n in range(arity + 1)
+                 for positions in itertools.combinations(range(arity), n)
+                 for fixed in (dict(zip(positions, values))
+                               for values in itertools.product(INDEX_VALUES, repeat=n))]
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.sampled_from(INDEX_ATOMS), max_size=20, unique=True),
        st.lists(st.sampled_from(INDEX_ATOMS), max_size=30))
 def test_projections_follow_discard_and_add(start, toggles):
-    """``_Target.project``, memoised, for one role and for both, against
-    a recomputation from the atoms present, after each ``discard`` or
-    ``add``: every toggle takes out an atom present or puts back one
-    absent, as the core does."""
+    """The index against a recomputation from the atoms present, after
+    each ``discard`` or ``add``: every toggle takes out an atom present or
+    puts back one absent, as the core does.  The first check builds every
+    lookup, so the toggles must keep them in step: the binary partner
+    sets through ``project`` at either position and for both roles, the
+    columns, and ``supports`` with every set of fixed positions, which
+    reads the ternary tuple sets."""
     target = _Target(start)
     atoms = set(start)
 
     def check():
-        for key, p, val, q in PROJECTIONS:
-            if p is None:
-                values = {a.args[1] for a in atoms if (a.pred, len(a.args)) == key
-                          and a.args[0] == val and Atom(a.pred, a.args[::-1]) in atoms}
-            else:
-                values = {a.args[q] for a in atoms
-                          if (a.pred, len(a.args)) == key and a.args[p] == val}
-            assert target.project(key, p, val, q) == (values or None), (key, p, val, q)
+        rows = {key: [a.args for a in atoms if (a.pred, len(a.args)) == key]
+                for key in INDEX_PREDS}
+        for key, fixed in INDEX_QUERIES:
+            held = [tt for tt in rows[key] if all(tt[p] == v for p, v in fixed.items())]
+            expected = held and [(p, {tt[p] for tt in held})
+                                 for p in range(key[1]) if p not in fixed]
+            image = [fixed.get(p) for p in range(key[1])]
+            found = target.supports(key, tuple(range(key[1])), False, image)
+            assert found == (expected if held else None), (key, fixed)
+        for key in INDEX_PREDS:
+            for pos in range(key[1]):
+                assert target.column(key, pos) == {tt[pos] for tt in rows[key]}, (key, pos)
+        pairs = set(rows[("r", 2)])
+        for val in INDEX_VALUES:
+            ahead = {b for a, b in pairs if a == val}
+            behind = {a for a, b in pairs if b == val}
+            for p, values in ((0, ahead), (1, behind), (None, ahead & behind)):
+                assert target.project(("r", 2), p, val) == (values or None), (p, val)
 
     check()
     for a in toggles:
@@ -300,3 +343,82 @@ def test_projections_follow_discard_and_add(start, toggles):
             target.add(a.pred, a.args)
             atoms.add(a)
         check()
+
+
+ISO_PREDS = [("p", 2), ("q", 1), ("t", 3)]
+
+
+@st.composite
+def formulas(draw):
+    """Formulas over five variables and two constants, with repeated head
+    variables."""
+    atoms = draw(atoms_over(ISO_PREDS, SOURCE_VARS[:5] + CONSTS[:2], 1, 6))
+    held = sorted({t for a in atoms for t in a.args if isinstance(t, Var)}, key=str)
+    head = draw(st.lists(st.sampled_from(held), min_size=1, max_size=3)) if held else []
+    return Formula(head, atoms)
+
+
+def _permutation_formula(images, head):
+    """``p(v, w)`` for every variable v and its image w under a
+    permutation: every variable has one partner in each role, so only
+    the search, not its root pass, tells two cycle types apart."""
+    return Formula([head], [Atom("p", pair) for pair in zip(SOURCE_VARS, images)])
+
+
+@st.composite
+def formula_pairs(draw):
+    """Two formulas of two permutations of six variables, isomorphic
+    exactly when the cycle types are equal, or a formula and either an
+    independent one, or its renaming onto
+    other variable names in another name order, kept as it is
+    ("renamed") or changed in one atom: a variable replaced by another,
+    or the arguments reversed, and maybe the head rotated.  A change that
+    keeps the sizes is often not an isomorphism."""
+    kind = draw(st.sampled_from(["renamed", "changed", "other", "permutations"]))
+    if kind == "permutations":
+        return (*(_permutation_formula(draw(st.permutations(SOURCE_VARS)), SOURCE_VARS[0])
+                  for _ in range(2)), kind)
+    phi = draw(formulas())
+    if kind == "other":
+        return phi, draw(formulas()), kind
+    names = draw(st.permutations([Var(n) for n in ("u", "v", "w", "x", "y", "z")]))
+    renaming = dict(zip(sorted(phi.vars, key=str), names))
+    atoms = [Atom(a.pred, tuple(renaming.get(t, t) for t in a.args)) for a in phi.atoms]
+    head = [renaming[v] for v in phi.free_vars]
+    if kind == "changed":
+        i = draw(st.integers(0, len(atoms) - 1))
+        args = atoms[i].args[::-1]
+        others = [t for k, a in enumerate(atoms) if k != i for t in a.args]
+        # a variable that occurs elsewhere, so that no variable is lost
+        held = [j for j, t in enumerate(args)
+                if isinstance(t, Var) and (t in others or args.count(t) > 1)]
+        if held and draw(st.booleans()):
+            j = draw(st.sampled_from(held))
+            args = args[:j] + (draw(st.sampled_from(names[:len(renaming)])),) + args[j + 1:]
+        atoms[i] = Atom(atoms[i].pred, args)
+        if draw(st.booleans()):
+            head = head[1:] + head[:1]
+    return phi, Formula(head, atoms), kind
+
+
+def _verdict(check, phi1, phi2, budget=None):
+    try:
+        return check(phi1, phi2, budget)
+    except BudgetExceeded:
+        return "budget exceeded"
+
+
+@settings(max_examples=300, deadline=None)
+@given(formula_pairs())
+def test_is_isomorphic_as_reference(pair):
+    """``is_isomorphic`` searches a ≠ relation where the reference runs
+    its kernel's injective mode after the same checks: the same answer and
+    budget point at every budget.  Equal term counts mean the ≠ relations
+    are empty only when there is one term, and then neither side has one."""
+    phi1, phi2, kind = pair
+    if kind == "renamed":
+        assert is_isomorphic(phi1, phi2)
+    nodes = _nodes(is_isomorphic, phi1, phi2)
+    for budget in (None, *range(12), max(nodes - 1, 0), nodes):
+        expected = _verdict(reference_homs.is_isomorphic, phi1, phi2, budget)
+        assert _verdict(is_isomorphic, phi1, phi2, budget) == expected, budget
