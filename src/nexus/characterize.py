@@ -296,8 +296,8 @@ def build_can(unit: Unit, kb: SelectiveKB) -> Formula:
 
 def build_core_char(unit: Unit, kb: SelectiveKB, budget: int | None = None) -> Formula:
     """The core characterization: the canonical one with every removable
-    atom dropped."""
-    return core_of_formula(build_can(unit, kb), budget)
+    atom dropped, canonically renamed for printing."""
+    return canonical_rename(core_of_formula(build_can(unit, kb), budget))
 
 
 def can_size_bound(unit: Unit, kb: SelectiveKB) -> int:

@@ -92,3 +92,8 @@ class OverlapWithUnit(NexusError):
 
 class ReservedSymbolCollision(NexusError):
     """Input uses a predicate or constant reserved for gadget encodings."""
+
+
+class InvariantViolation(NexusError):
+    """A result failed one of the engine's own consistency checks: a bug,
+    reported as an error record rather than a traceback."""

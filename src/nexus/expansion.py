@@ -8,8 +8,9 @@ agree, and the canonical one is cheaper to build.  They search it as
 assembled, its variables named after their product constants: a yes/no
 answer or a tuple set does not depend on what the variables are called.
 Only printed formulas are canonically renamed: ``build_can``,
-``build_core_char``, and each class representative of the expansion graph
-right before it is cored, which keeps the printed cores byte-identical.
+``build_core_char``, and each class core of the expansion graph, whose
+representative is also renamed right before it is cored, which keeps the
+printed cores byte-identical.
 
 Every decision about a unit has one compile path: the search source is
 compiled straight from the numbered rows of the product walk of its can
@@ -32,10 +33,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .characterize import _assemble, _formula
-from .errors import MixedArity, OverlapWithUnit, TupleSpaceTooLarge
+from .errors import InvariantViolation, MixedArity, OverlapWithUnit, TupleSpaceTooLarge
 from .formulas import Formula, canonical_rename, to_text
 from .homs import (
-    _dataset_target, _free_domains, _free_pins, _membership_test, _run, _Source, _sweep, _Target,
+    _dataset_target, _free_domains, _maps, _membership_test, _Source, _sweep, _Target,
     core_of_formula,
 )
 from .kb import ConstTuple, SelectiveKB, Unit, validate_unit
@@ -300,8 +301,7 @@ class _Can(NamedTuple):
 
     def maps_to(self, other: _Can, budget: int | None) -> bool:
         """``homs.maps_to`` of the cans' formulas: the same search, nodes and budget point."""
-        pins = _free_pins(self.head, other.head)
-        return pins is not None and _run(self.source, other.target, pins, budget) is not None
+        return _maps(self.source, other.target, self.head, other.head, budget)
 
 
 def _class_of_tuple(
@@ -345,7 +345,8 @@ def build_expansion_graph(
     within E_j.  Classification and equivalence search compiled cans
     (``_Can``); a class representative becomes a formula only to be
     renamed canonically and cored, as the core's greedy order follows atom
-    names: so its printed core is that of ``build_core_char``.
+    names, and its core is renamed again for printing: so its printed core
+    is that of ``build_core_char``.
     ``budget`` caps each classification, equivalence and core search.
     """
     n = unit.arity
@@ -365,13 +366,15 @@ def build_expansion_graph(
         can, fingerprint = _class_of_tuple(unit, kb, tau, closures, budget)
         rep = reps.setdefault(fingerprint, can)
         if rep is not can and not (can.maps_to(rep, budget) and rep.maps_to(can, budget)):
-            raise AssertionError(
+            raise InvariantViolation(
                 "tuples with equal instance sets landed in different classes"
             )
     classes = sorted(reps.items(), key=lambda item: sorted(item[0]))
 
-    cores = [core_of_formula(canonical_rename(_formula(can.head, can.terms, can.rows)), budget)
-             for _fp, can in classes]
+    cores = []
+    for _fp, can in classes:
+        representative = canonical_rename(_formula(can.head, can.terms, can.rows))
+        cores.append(canonical_rename(core_of_formula(representative, budget)))
 
     k = len(cores)
     fingerprints = [fingerprint for fingerprint, _can in classes]
@@ -423,7 +426,7 @@ def _check_invariants(
                 state[i] = 2
                 stack.pop()
             elif state[j] == 1:
-                raise AssertionError("expansion graph has a cycle")
+                raise InvariantViolation("expansion graph has a cycle")
             elif state[j] == 0:
                 state[j] = 1
                 stack.append((j, iter(succ[j])))
@@ -434,15 +437,15 @@ def _check_invariants(
         total += len(node.direct)
         seen |= node.direct
     if total != len(space) or seen != set(space):
-        raise AssertionError("direct instances must partition the tuple space")
+        raise InvariantViolation("direct instances must partition the tuple space")
 
     incoming = {j for (_i, j) in graph.arcs}
     sources = [i for i in range(k) if i not in incoming]
     if sources != [graph.source]:
-        raise AssertionError("exactly one source node expected")
+        raise InvariantViolation("exactly one source node expected")
 
     ess = frozenset(ess_set(unit, kb, budget))
     if graph.nodes[graph.source].direct != ess:
-        raise AssertionError(
+        raise InvariantViolation(
             "the source's direct instances must equal the essential expansion"
         )

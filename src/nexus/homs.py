@@ -10,8 +10,12 @@ variables to what the target still supports.  All orderings are fixed,
 so results are reproducible.  The kernel (``_run``) returns the image of
 every source term, or None.  Its root pass, which asks the target for
 every source atom, nullary ones included, is its only test of the target.
-``_search`` keeps the API's pin contract around it, pins on terms the
-source lacks included, and turns the image into a map.
+Each question asks it by one path.  A head-pinned map test (``maps_to``,
+so ``equivalent``, ``is_isomorphic`` and ``expansion._Can.maps_to``) is
+``_maps``: the heads' pins, then one ``_run``.  ``find_hom`` alone goes
+through ``_search``, which keeps the API's pin contract, pins on terms
+the source lacks included, and turns the image into a map.  The core
+returns its literal atoms; only a caller that prints it renames it.
 
 Each node is cheap:
 
@@ -477,7 +481,8 @@ def _search(
 ):
     """``find_hom`` on atoms: ``_run`` behind the pin contract.  A pin may
     not move a source constant, and one on a term the source lacks needs
-    its value among the target's terms."""
+    its value among the target's terms.  Only ``find_hom`` makes such
+    pins; a head-pinned map test is ``_maps``."""
     source = _Source.of_atoms(source_atoms, pins)
     target = _Target(target_atoms)
     known = {t: t for t in source.template if t is not None}
@@ -666,8 +671,8 @@ def _run(
 
 
 def _free_pins(head1, head2):
-    """Pins aligning the i-th variable of ``head1`` with ``head2``'s, or
-    None when a repeated head variable would need two images."""
+    """Pins sending the i-th variable of ``head1`` to the i-th term of
+    ``head2``, or None when a repeated head variable would need two."""
     pins: dict = {}
     for v1, v2 in zip(head1, head2):
         if pins.get(v1, v2) != v2:
@@ -676,16 +681,22 @@ def _free_pins(head1, head2):
     return pins
 
 
+def _maps(source: _Source, target: _Target, head1, head2, budget: int | None = None) -> bool:
+    """The one head-pinned map test: does a homomorphism of ``source``
+    into ``target`` send the i-th term of ``head1`` to the i-th of
+    ``head2``?  ``source`` must be compiled with ``head1`` pinned."""
+    pins = _free_pins(head1, head2)
+    return pins is not None and _run(source, target, pins, budget) is not None
+
+
 def maps_to(phi1: Formula, phi2: Formula, budget: int | None = None) -> bool:
     """phi1 --> phi2: a constant-preserving hom aligning free variables."""
     if phi1.arity != phi2.arity:
         raise ArityMismatch(
             f"hom-order needs equal arities, got {phi1.arity} and {phi2.arity}"
         )
-    pins = _free_pins(phi1.free_vars, phi2.free_vars)
-    if pins is None:
-        return False
-    return _search(phi1.atoms, phi2.atoms, pins, budget) is not None
+    return _maps(_Source.of_atoms(phi1.atoms, phi1.free_vars), _Target(phi2.atoms),
+                 phi1.free_vars, phi2.free_vars, budget)
 
 
 def equivalent(phi1: Formula, phi2: Formula, budget: int | None = None) -> bool:
@@ -724,46 +735,29 @@ def is_isomorphic(phi1: Formula, phi2: Formula, budget: int | None = None) -> bo
         return False
     if _signature(phi1) != _signature(phi2):
         return False
-    pins = _free_pins(phi1.free_vars, phi2.free_vars)
-    if pins is None:
-        return False
-    return _search([*phi1.atoms, *_distinct(terms1)], [*phi2.atoms, *_distinct(terms2)],
-                   pins, budget) is not None
-
-
-def fold_formula(phi: Formula) -> Formula:
-    """Drop one-variable retractions until none is left.
-
-    A bound variable v folds when some term w other than v makes the map
-    {v -> w}, the identity elsewhere, send every atom holding v onto an
-    atom of the formula; the atoms holding v are then dropped.  The
-    result is a subset of phi's atoms (the same ``Atom`` objects) with the
-    same free variables, and hom-equivalent to phi: the map sends phi into
-    the subset, and a subset maps into phi.  So it has the same output
-    over every dataset and the same instance set under every selector.
-    It also allows the same values to each free variable in
-    ``_free_domains``: a dropped atom's image holds the same free
-    variables at the same positions and is at least as constrained.  This
-    is the classical retraction step towards the core (Chandra & Merlin,
-    1977; Hell & Nesetril, 1992), limited to one variable at a time, so
-    it needs no search; the result may still be larger than the core.
-
-    This is the ``Formula`` face of ``_fold``, which the sweeps run on
-    numbered rows.
-    """
-    atoms = list(phi.atoms)
-    terms, rows = _numbered(atoms)
-    kept = _fold(terms, rows, phi.free_vars)
-    if len(kept) == len(rows):
-        return phi
-    atom_of = dict(zip(rows, atoms))
-    return Formula(phi.free_vars, [atom_of[row] for row in kept])
+    return _maps(_Source.of_atoms([*phi1.atoms, *_distinct(terms1)], phi1.free_vars),
+                 _Target([*phi2.atoms, *_distinct(terms2)]), phi1.free_vars, phi2.free_vars,
+                 budget)
 
 
 def _fold(terms: list, rows: list, free: Iterable) -> list:
-    """The rows ``(pred, args)``, each argument the number of a term, that
-    ``fold_formula`` keeps, in their given order; ``free`` holds the free
-    variables.
+    """Drop one-variable retractions from the rows ``(pred, args)``, each
+    argument the number of a term (a formula's ``_numbered`` rows), until
+    none is left; return the rows kept, in their given order.  ``free``
+    holds the free variables.
+
+    A bound variable v folds when some term w other than v makes the map
+    {v -> w}, the identity elsewhere, send every row holding v onto a kept
+    row; the rows holding v are then dropped.  What is left has the same
+    free variables and is hom-equivalent to the input (the map sends the
+    input into it, and a subset maps back), so it has the same output over
+    every dataset and the same instance set under every selector.  It also
+    allows the same values to each free variable in ``_free_domains``: a
+    dropped row's image holds the same free variables at the same
+    positions and is at least as constrained.  This is the classical
+    retraction step towards the core (Chandra & Merlin, 1977; Hell &
+    Nesetril, 1992), one variable at a time, so it needs no search; what
+    is left may be larger than the core.
 
     The test of v is the kernel's root pass with v the one open slot:
     every other term fixed to itself, the supports of the rows holding v
@@ -876,11 +870,9 @@ def _membership_test(
     def is_instance(tau: ConstTuple) -> bool:
         if len(tau) != arity:
             raise ArityMismatch(f"tuple arity {len(tau)} != formula arity {arity}")
-        pins: dict = {}
-        for v, c in zip(free_vars, tau):
-            if pins.get(v, c) != c:
-                return False
-            pins[v] = c
+        pins = _free_pins(free_vars, tau)
+        if pins is None:
+            return False
         summary = kb.summary(tau)
         if not consts <= summary.domain:
             return False
@@ -946,17 +938,15 @@ def _blocks(atoms: Iterable[Atom], free) -> list[set[Atom]]:
             if any(bound(t) for a in comp for t in a.args)]
 
 
-def core_of_formula(
-    phi: Formula, budget: int | None = None, rename: bool = True
-) -> Formula:
-    """The minimal hom-equivalent sub-formula, canonically renamed.
+def core_of_formula(phi: Formula, budget: int | None = None) -> Formula:
+    """The minimal hom-equivalent sub-formula, literally: a subset of phi's
+    atoms (the same ``Atom`` objects) under phi's head.  A caller that
+    prints the core renames it (``canonical_rename``) itself.
 
     One pass over the atoms in sorted order: drop an atom whenever the
     current formula still maps into the remainder (the remainder always
     maps back, being a subset).  A single pass suffices because every
-    intermediate formula stays equivalent to the input.  With
-    ``rename=False`` the literal sub-formula is returned instead of its
-    canonically renamed presentation.
+    intermediate formula stays equivalent to the input.
 
     Each test moves only the block of the atom alpha under test: the bound
     variables linked to alpha's through shared atoms, and the atoms that
@@ -1001,8 +991,7 @@ def core_of_formula(
             target.add(alpha.pred, alpha.args)
         else:
             atoms.discard(alpha)
-    out = Formula(phi.free_vars, atoms)
-    return canonical_rename(out) if rename else out
+    return Formula(phi.free_vars, atoms)
 
 
 def _signature(phi: Formula):
@@ -1049,4 +1038,4 @@ class FormulaClass:
 
 def canonical_class(phi: Formula, budget: int | None = None) -> FormulaClass:
     """Core plus deterministic renaming: a stable class representative."""
-    return FormulaClass(core_of_formula(phi, budget))
+    return FormulaClass(canonical_rename(core_of_formula(phi, budget)))

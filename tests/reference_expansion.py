@@ -72,7 +72,8 @@ def build_expansion_graph(
             )
         classes.append((fingerprint, reps[0]))
 
-    cores = [core_of_formula(canonical_rename(can), budget) for _fp, can in classes]
+    cores = [canonical_rename(core_of_formula(canonical_rename(can), budget))
+             for _fp, can in classes]
 
     k = len(cores)
     reaches = [[False] * k for _ in range(k)]

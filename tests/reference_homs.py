@@ -17,7 +17,10 @@ from the code it was replaced by:
   ``term_key`` order, and ``_folds`` trying each candidate image in turn;
 * ``is_isomorphic`` as it was before the ≠ reduction: the same checks,
   then one search in the kernel's injective mode, here the reference
-  kernel's.
+  kernel's;
+* ``maps_to`` and ``equivalent`` as they were before the one head-pinned
+  map test (``homs._maps``): the heads' pins, then ``_search``, here the
+  reference kernel's.
 """
 
 from __future__ import annotations
@@ -354,3 +357,18 @@ def is_isomorphic(phi1: Formula, phi2: Formula, budget: int | None = None) -> bo
     if pins is None:
         return False
     return _search(phi1.atoms, phi2.atoms, pins, budget, injective=True) is not None
+
+
+def maps_to(phi1: Formula, phi2: Formula, budget: int | None = None) -> bool:
+    if phi1.arity != phi2.arity:
+        raise ArityMismatch(
+            f"hom-order needs equal arities, got {phi1.arity} and {phi2.arity}"
+        )
+    pins = _free_pins(phi1.free_vars, phi2.free_vars)
+    if pins is None:
+        return False
+    return _search(phi1.atoms, phi2.atoms, pins, budget) is not None
+
+
+def equivalent(phi1: Formula, phi2: Formula, budget: int | None = None) -> bool:
+    return maps_to(phi1, phi2, budget) and maps_to(phi2, phi1, budget)

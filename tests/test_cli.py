@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from nexus import expansion
 from nexus.cli import run
 from nexus.expansion import build_expansion_graph
 from nexus.kb import (
@@ -107,6 +108,17 @@ def test_error_record_missing_file(capsys):
     code, _out, err = invoke(capsys, "load-check", "no_such_file.nxf")
     assert code == 2
     assert json.loads(err)["error"] == "IOError"
+
+
+def test_a_broken_invariant_is_an_error_record(capsys, monkeypatch):
+    """Every parks tuple given one fingerprint: ``eg`` refuses the graph
+    with a JSON record on stderr and exit 2, not a traceback."""
+    monkeypatch.setattr(expansion._Closures, "infer", lambda self, *args: self.base)
+    code, out, err = invoke(capsys, "eg", FACTS, UNIT, "--selector", "sigma0")
+    assert code == 2 and out == ""
+    record = json.loads(err)
+    assert record["error"] == "InvariantViolation"
+    assert record["message"] == "tuples with equal instance sets landed in different classes"
 
 
 def test_can_core_text_and_json(capsys):

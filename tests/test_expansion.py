@@ -10,7 +10,7 @@ import pytest
 
 from nexus import expansion
 from nexus.characterize import build_can
-from nexus.errors import OverlapWithUnit, TupleSpaceTooLarge
+from nexus.errors import InvariantViolation, OverlapWithUnit, TupleSpaceTooLarge
 from nexus.expansion import (
     INC,
     PREC,
@@ -233,7 +233,7 @@ def test_a_class_of_inequivalent_cans_is_refused(parks_kb, parks_unit, monkeypat
     """Every parks tuple given one fingerprint: the first tuple whose can
     is not hom-equivalent to its representative's stops the graph."""
     monkeypatch.setattr(expansion._Closures, "infer", lambda self, *args: self.base)
-    with pytest.raises(AssertionError, match="landed in different classes"):
+    with pytest.raises(InvariantViolation, match="landed in different classes"):
         build_expansion_graph(parks_unit, parks_kb)
 
 
@@ -246,6 +246,7 @@ def test_invariant_checks_survive_optimized_mode():
         import sys
         from pathlib import Path
         from nexus import expansion
+        from nexus.errors import InvariantViolation
         from nexus.expansion import _check_invariants, build_expansion_graph
         from nexus.kb import (
             SelectiveKB, SelectorSpec, atom, close_under_top, parse_facts, validate_unit,
@@ -265,7 +266,7 @@ def test_invariant_checks_survive_optimized_mode():
                        dataclasses.replace(graph, arcs=cyclic)):
             try:
                 _check_invariants(broken, unit, kb, space, None)
-            except AssertionError as exc:
+            except InvariantViolation as exc:
                 print("refused:", exc)
 
         parks = parse_facts(Path(sys.argv[1]).read_text())
@@ -273,7 +274,7 @@ def test_invariant_checks_survive_optimized_mode():
         try:
             build_expansion_graph(validate_unit([("Discovery_Cove",), ("Epcot",)], parks),
                                   SelectiveKB(parks, SelectorSpec.sigma0()))
-        except AssertionError as exc:
+        except InvariantViolation as exc:
             print("refused:", exc)
     """)
     root = pathlib.Path(__file__).resolve().parents[1]

@@ -1,7 +1,7 @@
-"""Folded sweeps: ``fold_formula`` drops one-variable retractions, and the
-instance sweeps search the folded rows.  Checked against the input
-formula, the brute oracles, a brute-force fixpoint test, the reference
-fold and the unfolded reference sweep."""
+"""Folded sweeps: ``_fold`` drops one-variable retractions from a
+formula's numbered rows, and the instance sweeps search the folded rows.
+Checked against the input formula, the brute oracles, a brute-force
+fixpoint test, the reference fold and the unfolded reference sweep."""
 
 import itertools
 import os
@@ -17,7 +17,7 @@ import reference_homs
 from nexus.characterize import build_can
 from nexus.errors import BudgetExceeded
 from nexus.formulas import Formula, parse_formula
-from nexus.homs import core_of_formula, equivalent, evaluate, fold_formula, instances
+from nexus.homs import _fold, _numbered, core_of_formula, equivalent, evaluate, instances
 from nexus.kb import Atom, is_var
 from nexus.oracles import brute_evaluate, brute_instances, random_formula, random_unit
 from test_membership_reference import SELECTORS, make_kb
@@ -38,6 +38,14 @@ INTERCHANGEABLE = "x <- isa(x,aquarium), top(x), " + ", ".join(
 )
 
 
+def fold(phi: Formula) -> Formula:
+    """The atoms of phi whose ``_numbered`` rows ``_fold`` keeps."""
+    atoms = list(phi.atoms)
+    terms, rows = _numbered(atoms)
+    kept = set(_fold(terms, rows, phi.free_vars))
+    return Formula(phi.free_vars, [a for a, row in zip(atoms, rows) if row in kept])
+
+
 def one_variable_folds(phi: Formula):
     """Every (v, w) with v bound and {v -> w} mapping each atom holding v
     onto an atom of phi, by trying every term of phi."""
@@ -56,7 +64,7 @@ def unit_space(kb, arity):
 
 
 def assert_folds_soundly(phi: Formula):
-    folded = fold_formula(phi)
+    folded = fold(phi)
     assert folded.atoms <= phi.atoms
     assert folded.free_vars == phi.free_vars
     assert equivalent(folded, phi)
@@ -125,7 +133,7 @@ def test_the_fold_keeps_the_reference_atoms(seed, selector, arity):
     phi = random_formula(kb, rng, max_atoms=8, max_arity=arity)
     can = build_can(random_unit(kb, rng, max_arity=arity, max_size=2), kb)
     for psi in (phi, can):
-        assert fold_formula(psi).atoms == reference_homs.fold_formula(psi).atoms
+        assert fold(psi).atoms == reference_homs.fold_formula(psi).atoms
 
 
 def test_a_fold_frees_its_neighbours():
@@ -141,20 +149,23 @@ def test_interchangeable_atoms_fold_to_one():
 
 def test_free_variables_never_fold():
     phi = parse_formula("x,y <- p(x,c), p(y,c), p(?z,c)")
-    assert fold_formula(phi) == parse_formula("x,y <- p(x,c), p(y,c)")
+    assert fold(phi) == parse_formula("x,y <- p(x,c), p(y,c)")
 
 
 FOLD_SCRIPT = """
 import sys
 from nexus.characterize import build_can
 from nexus.formulas import parse_formula
-from nexus.homs import fold_formula
+from nexus.homs import _fold, _numbered
 from nexus.kb import SelectiveKB, SelectorSpec, parse_facts, validate_unit
 dataset = parse_facts(open(sys.argv[1]).read())
 kb = SelectiveKB(dataset, SelectorSpec.sigma0())
 can = build_can(validate_unit([("Discovery_Cove",), ("Epcot",)], dataset), kb)
 for phi in (can, parse_formula(sys.argv[2])):
-    print(sorted(map(repr, fold_formula(phi).atoms)))
+    atoms = list(phi.atoms)
+    terms, rows = _numbered(atoms)
+    kept = set(_fold(terms, rows, phi.free_vars))
+    print(sorted(repr(a) for a, row in zip(atoms, rows) if row in kept))
 """
 
 

@@ -341,13 +341,13 @@ def test_core_folds_redundant_location():
 
 def test_core_single_atom():
     phi = parse_formula("x <- p(x,x)")
-    assert core_of_formula(phi, rename=False) == phi
+    assert core_of_formula(phi) == phi
     assert is_isomorphic(core_of_formula(phi), phi)
 
 
 def test_core_subformula_and_minimality():
     phi = parse_formula("x <- isa(x,tp), located(x,?y), located(x,Florida), top(?y), top(Florida)")
-    core = core_of_formula(phi, rename=False)
+    core = core_of_formula(phi)
     assert core.atoms <= phi.atoms
     assert equivalent(core, phi)
     for alpha in core.atoms:

@@ -12,9 +12,9 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nexus.errors import BudgetExceeded
+from nexus.errors import ArityMismatch, BudgetExceeded
 from nexus.formulas import Formula
-from nexus.homs import _Budget, _distinct, _search, _Target, is_isomorphic
+from nexus.homs import _Budget, _distinct, _search, _Target, equivalent, is_isomorphic, maps_to
 from nexus.kb import Atom, Var
 
 import reference_homs
@@ -422,3 +422,51 @@ def test_is_isomorphic_as_reference(pair):
     for budget in (None, *range(12), max(nodes - 1, 0), nodes):
         expected = _verdict(reference_homs.is_isomorphic, phi1, phi2, budget)
         assert _verdict(is_isomorphic, phi1, phi2, budget) == expected, budget
+
+
+@st.composite
+def map_pairs(draw):
+    """A pair of ``formula_pairs``, or a formula and a sub-formula of it,
+    either way round.  The sub-formula keeps the head, so it maps into the
+    formula, and the formula maps into it when the dropped atoms retract;
+    or it takes another head over its variables, often with another
+    pattern of repeated variables."""
+    if draw(st.booleans()):
+        phi1, phi2, _kind = draw(formula_pairs())
+        return phi1, phi2
+    phi = draw(formulas())
+    atoms = sorted(phi.atoms, key=Atom.key)
+    kept = [a for a in atoms if draw(st.booleans())] or atoms[:1]
+    for v in phi.free_vars:
+        if not any(v in a.args for a in kept):
+            kept.append(next(a for a in atoms if v in a.args))
+    head = phi.free_vars
+    if head and draw(st.booleans()):
+        held = sorted({t for a in kept for t in a.args if isinstance(t, Var)}, key=str)
+        head = draw(st.lists(st.sampled_from(held), min_size=len(head), max_size=len(head)))
+    sub = Formula(head, kept)
+    return (phi, sub) if draw(st.booleans()) else (sub, phi)
+
+
+def _map_verdict(check, phi1, phi2, budget=None):
+    try:
+        return _verdict(check, phi1, phi2, budget)
+    except ArityMismatch:
+        return "arity mismatch"
+
+
+@settings(max_examples=300, deadline=None)
+@given(map_pairs())
+def test_maps_to_and_equivalent_as_reference(pair):
+    """``maps_to`` asks ``homs._maps``, one ``_run`` behind the heads'
+    pins; the reference runs its own kernel's ``_search`` behind the same
+    pins.  ``maps_to`` and ``equivalent`` give the same answer, and run out
+    at the same node, at budgets None, 0-11, n - 1 and n for a search of n
+    nodes."""
+    phi1, phi2 = pair
+    for check, reference in ((maps_to, reference_homs.maps_to),
+                             (equivalent, reference_homs.equivalent)):
+        nodes = _nodes(_map_verdict, check, phi1, phi2)
+        for budget in (None, *range(12), max(nodes - 1, 0), nodes):
+            expected = _map_verdict(reference, phi1, phi2, budget)
+            assert _map_verdict(check, phi1, phi2, budget) == expected, (check, budget)
