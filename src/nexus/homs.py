@@ -12,20 +12,10 @@ every source term, or None.  Its root pass, which asks the target for
 every source atom, nullary ones included, is its only test of the target.
 Each question asks it by one path.  A head-pinned map test (``maps_to``,
 so ``equivalent``, ``is_isomorphic`` and ``expansion._Can.maps_to``) is
-``_maps``: the heads' pins, then one ``_hom_exists``.  ``find_hom`` alone
-goes through ``_search``, which keeps the API's pin contract, pins on
-terms the source lacks included, and turns the image into a map.  The
-core returns its literal atoms; only a caller that prints it renames it.
-
-A map test or core test with no budget (``_hom_exists``) that ``_run``
-has not decided within ``_MAC_AFTER`` nodes is searched again, from the
-start, with arc consistency maintained (``_mac``).  Forward checking in
-a fixed order has a heavy tail that MAC does not share: on some class
-cans of random KBs a core test that is a "no", or a map of a can into
-itself, took ``_run`` past the default 10M nodes, and MAC settles them
-in milliseconds.  Both searches are complete, so the answer is the same.
-A search given a budget is ``_run``'s alone, and its budget point does
-not move.
+``_maps``: the heads' pins, then one ``_run``.  ``find_hom`` alone goes
+through ``_search``, which keeps the API's pin contract, pins on terms
+the source lacks included, and turns the image into a map.  The core
+returns its literal atoms; only a caller that prints it renames it.
 
 Each node is cheap:
 
@@ -34,12 +24,10 @@ Each node is cheap:
   and position, its partners (the values at the other position) in a
   binary relation and the tuples holding it at any other arity.  An
   atom's supports come from the smallest set of its fixed positions, a
-  stored partner set when one end of a binary atom is fixed, the stored
-  loops of the relation for a binary atom over one variable, such as
-  ``p(y,y)``, and a fully fixed atom is one set lookup.  The index is
-  built per search, except that the core keeps one index of its current
-  atoms for the whole pass, taking out and putting back one atom per
-  test, a whole dataset's index
+  stored partner set when one end of a binary atom is fixed, and a fully
+  fixed atom is one set lookup.  The index is built per search, except
+  that the core keeps one index of its current atoms for the whole pass,
+  taking out and putting back one atom per test, a whole dataset's index
   is built at most once per ``Dataset`` (``_dataset_target``), for
   ``evaluate``, the candidates of a sweep below and every membership
   whose summary is the KB's dataset itself (the ``full`` selector), and
@@ -286,11 +274,10 @@ class _Target:
     """Index of a target atom set for the supports of source atoms.  Per
     position of a binary relation it keeps each value's partners, the
     values at the other position, and per position of any other arity the
-    tuples holding each value; per binary relation, its loops.
-    ``discard`` and ``add`` keep every lookup built so far in step, so one
-    index can serve a whole pass."""
+    tuples holding each value; ``discard`` and ``add`` keep every lookup
+    built so far in step, so one index can serve a whole pass."""
 
-    __slots__ = ("rows", "_by_value", "_columns", "_loops")
+    __slots__ = ("rows", "_by_value", "_columns")
 
     def __init__(self, atoms: Iterable[Atom]):
         rows = self.rows = defaultdict(set)
@@ -298,7 +285,6 @@ class _Target:
             rows[(a.pred, len(a.args))].add(a.args)
         self._by_value: dict[tuple, dict] = {}  # (key, pos) -> value -> partners or tuples
         self._columns: dict[tuple, set] = {}  # (key, pos) -> values
-        self._loops: dict[tuple, set] = {}  # binary key -> the values v with (v, v)
 
     def _holding(self, key, pos, value):
         """The partners of ``value`` at position ``pos`` of a binary
@@ -328,14 +314,6 @@ class _Target:
         values = self._columns.get((key, pos))
         if values is None:
             values = self._columns[(key, pos)] = {tt[pos] for tt in self.rows[key]}
-        return values
-
-    def loops(self, key):
-        """The values v with ``(v, v)`` in the binary relation under
-        ``key``: what ``supports`` offers an atom such as ``p(y,y)``."""
-        values = self._loops.get(key)
-        if values is None:
-            values = self._loops[key] = {a for a, b in self.rows[key] if a == b}
         return values
 
     def project(self, key, p, val):
@@ -369,8 +347,6 @@ class _Target:
             column = self._columns.get((key, pos))
             if column is not None and self._holding(key, pos, value) is None:
                 column.discard(value)
-        if len(args) == 2 and args[0] == args[1] and key in self._loops:
-            self._loops[key].discard(args[0])
 
     def add(self, pred: str, args: tuple):
         """Add an atom, or put back one taken out by ``discard``."""
@@ -388,8 +364,6 @@ class _Target:
             column = self._columns.get((key, pos))
             if column is not None:
                 column.add(value)
-        if len(args) == 2 and args[0] == args[1] and key in self._loops:
-            self._loops[key].add(args[0])
 
     def supports(self, key, slots, repeats: bool, image: list):
         """The target tuples compatible with the fixed arguments of a
@@ -415,9 +389,6 @@ class _Target:
         if not open_slots:
             return [] if tuple(val for _pos, val in fixed) in rows else None
         if repeats and len(set(open_slots)) < len(open_slots):
-            if key[1] == 2:  # both ends one open slot
-                values = self.loops(key)
-                return [(open_slots[0], values)] if values else None
             return self._scan(rows, key, fixed, open_slots, open_pos)
         if not fixed:
             return [(s, self.column(key, p)) for s, p in zip(open_slots, open_pos)]
@@ -438,9 +409,9 @@ class _Target:
         return [(s, {tt[p] for tt in best}) for s, p in zip(open_slots, open_pos)]
 
     def _scan(self, rows, key, fixed, open_slots, open_pos):
-        """Supports of an atom of arity 3 or more that repeats an open
-        slot: the tuples must agree on every position of that slot.  Every
-        set read here is a set of tuples."""
+        """Supports of an atom that repeats an open slot: the tuples must
+        agree on every position of that slot.  A binary such atom has no
+        fixed position, so every set read here is a set of tuples."""
         candidates = rows
         for pos, val in fixed:
             holding = self._holding(key, pos, val)
@@ -528,30 +499,6 @@ def _search(
     return known
 
 
-def _root_domains(source: _Source, target: _Target, image: list):
-    """The root pass of a search: every atom must have support, and each
-    open slot's candidates are narrowed by its atoms, their other
-    arguments fixed or open (a column intersection per distinct set of
-    columns, ``supports`` for ``fixed_atoms``).  None when an atom has no
-    support or a slot no candidate."""
-    domains: list = [None] * len(image)
-    for columns, slots in source.by_columns.items():
-        common = None
-        for key, pos in columns:
-            if key not in target.rows:
-                return None
-            values = target.column(key, pos)
-            common = values if common is None else common & values
-        for s in slots:
-            domains[s] = common
-    if not _intersect_supports(target, source.fixed_atoms, image, domains):
-        return None
-    for s in source.by_rank:
-        if not domains[s]:
-            return None
-    return domains
-
-
 def _run(
     source: _Source,
     target: _Target,
@@ -579,12 +526,27 @@ def _run(
     ``[]``, so the tree, its node count and its budget point are those of
     asking every atom."""
     image = source.image_of(pins)
-    domains = _root_domains(source, target, image)
-    if domains is None:
+
+    # root pass: every atom must have support, var domains start narrowed
+    domains: list = [None] * len(image)
+    for columns, slots in source.by_columns.items():
+        common = None
+        for key, pos in columns:
+            if key not in target.rows:
+                return None
+            values = target.column(key, pos)
+            common = values if common is None else common & values
+        for s in slots:
+            domains[s] = common
+    if not _intersect_supports(target, source.fixed_atoms, image, domains):
         return None
+    by_rank = source.by_rank
+    for s in by_rank:
+        if not domains[s]:
+            return None
 
     # open slots by candidate count, each bucket a sorted list of name ranks
-    by_rank, rank, by_var, pairs = source.by_rank, source.rank, source.by_var, source.pairs
+    rank, by_var, pairs = source.rank, source.by_var, source.pairs
     supports, project = target.supports, target.project
     buckets: dict[int, list[int]] = {}
     for r, s in enumerate(by_rank):
@@ -704,147 +666,6 @@ def _run(
     return None
 
 
-def _arc_consistent(source: _Source, target: _Target, image: list, domains: list,
-                    queue: list, wide: list, trail: list) -> bool:
-    """Narrow ``domains`` to arc consistency (AC-3; Mackworth,
-    *Consistency in networks of relations*, 1977), starting from the
-    slots in ``queue``, each narrowing recorded on ``trail`` as (slot,
-    its candidates before).  A changed slot revises its neighbours: each
-    partner of a group of its binary atoms keeps the values that some
-    candidate of the slot reaches in the target (``_Target.project``),
-    and each slot of an atom of ``wide``, one with two or more open
-    slots, keeps the values of the target tuples that agree with every
-    slot's candidates.  False when a slot is left with none: then no
-    homomorphism extends ``image`` within ``domains``."""
-    project, rows = target.project, target.rows
-    queued = set(queue)
-    while queue:
-        s = queue.pop()
-        queued.discard(s)
-        narrowed = []
-        for key, p, partners in source.pairs[s]:
-            reach: set = set()
-            for val in domains[s]:
-                found = project(key, p, val)
-                if found is not None:
-                    reach |= found
-            for u in partners:
-                current = domains[u]
-                if not current <= reach:
-                    if current.isdisjoint(reach):
-                        return False
-                    trail.append((u, current))
-                    domains[u] = current & reach
-                    narrowed.append(u)
-        for key, slots, _repeats in wide[s]:
-            kept = {u: set() for u in slots if image[u] is None}
-            for tt in rows.get(key, ()):
-                chosen: dict = {}
-                for u, x in zip(slots, tt):
-                    val = image[u]
-                    if val is None:
-                        if x not in domains[u] or chosen.setdefault(u, x) != x:
-                            break
-                    elif val != x:
-                        break
-                else:
-                    for u, x in chosen.items():
-                        kept[u].add(x)
-            for u, values in kept.items():
-                if len(values) != len(domains[u]):
-                    if not values:
-                        return False
-                    trail.append((u, domains[u]))
-                    domains[u] = values
-                    narrowed.append(u)
-        for u in narrowed:
-            if u not in queued:
-                queued.add(u)
-                queue.append(u)
-    return True
-
-
-def _mac(source: _Source, target: _Target, pins: dict, budget: int | None = None) -> bool:
-    """Whether a homomorphism extending ``pins`` exists: ``_run``'s
-    question, searched with arc consistency maintained (MAC; Sabin &
-    Freuder, *Contradiction-directed search*, 1994).  After the root pass
-    the candidates are made arc consistent, and after each choice again
-    from the chosen slot, so a value is tried only while every atom can
-    still be completed from every slot it holds.  A slot left with one
-    candidate is decided; when every slot is, the candidates are a
-    homomorphism.  The next slot has the fewest candidates above one, ties
-    broken by name, and its values are tried in term order.  One budget
-    unit is spent per value tried.  Forward checking (``_run``) takes far
-    fewer steps per node, and MAC far fewer nodes on a search that has to
-    prove there is no map, or that forward checking's fixed order leads
-    astray (``_hom_exists``)."""
-    image = source.image_of(pins)
-    domains = _root_domains(source, target, image)
-    if domains is None:
-        return False
-    by_rank = source.by_rank
-    wide: list = [()] * len(image)
-    for s in by_rank:
-        wide[s] = [atom for atom in source.by_var[s]
-                   if len({u for u in atom[1] if image[u] is None}) > 1]
-    trail: list[tuple] = []  # (slot, its candidates before narrowing)
-    if not _arc_consistent(source, target, image, domains, list(by_rank), wide, trail):
-        return False
-
-    def pick():
-        best = None
-        for s in by_rank:
-            size = len(domains[s])
-            if size > 1 and (best is None or size < len(domains[best])):
-                best = s
-        return best
-
-    var = pick()
-    if var is None:
-        return True
-    meter = _Budget(DEFAULT_BUDGET if budget is None else budget)
-    # frame: [slot, its values in term order, next value index, trail mark]
-    frames = [[var, sorted(domains[var], key=term_key), 0, len(trail)]]
-    while frames:
-        frame = frames[-1]
-        var, values, i, mark = frame
-        while len(trail) > mark:
-            u, previous = trail.pop()
-            domains[u] = previous
-        if i == len(values):
-            frames.pop()
-            continue
-        frame[2] = i + 1
-        meter.spend()
-        trail.append((var, domains[var]))
-        domains[var] = {values[i]}
-        if not _arc_consistent(source, target, image, domains, [var], wide, trail):
-            continue
-        var = pick()
-        if var is None:
-            return True
-        frames.append([var, sorted(domains[var], key=term_key), 0, len(trail)])
-    return False
-
-
-# Nodes after which a search with no budget leaves ``_run`` for ``_mac``.
-_MAC_AFTER = 500
-
-
-def _hom_exists(source: _Source, target: _Target, pins: dict, budget: int | None) -> bool:
-    """Whether a homomorphism extending ``pins`` exists.  With a budget,
-    ``_run`` under it, so the budget point is the kernel's.  With none,
-    ``_run`` for up to ``_MAC_AFTER`` nodes, then ``_mac`` from the start
-    under the default cap: a search that forward checking has not decided
-    by then is one it can take millions of nodes over."""
-    if budget is not None:
-        return _run(source, target, pins, budget) is not None
-    try:
-        return _run(source, target, pins, _MAC_AFTER) is not None
-    except BudgetExceeded:
-        return _mac(source, target, pins)
-
-
 # ---------------------------------------------------------------------------
 # Formula-level operations
 
@@ -865,7 +686,7 @@ def _maps(source: _Source, target: _Target, head1, head2, budget: int | None = N
     into ``target`` send the i-th term of ``head1`` to the i-th of
     ``head2``?  ``source`` must be compiled with ``head1`` pinned."""
     pins = _free_pins(head1, head2)
-    return pins is not None and _hom_exists(source, target, pins, budget)
+    return pins is not None and _run(source, target, pins, budget) is not None
 
 
 def maps_to(phi1: Formula, phi2: Formula, budget: int | None = None) -> bool:
@@ -1151,8 +972,7 @@ def core_of_formula(phi: Formula, budget: int | None = None) -> Formula:
 
     One index of the current atoms is kept for the whole pass: a test
     takes alpha out and puts it back if the test fails.  ``budget`` caps
-    each block search; with none, a test that ``_run`` has not decided
-    within ``_MAC_AFTER`` nodes goes to ``_mac`` (``_hom_exists``).
+    each block search.
     """
     if phi.arity < 1:
         raise ArityMismatch("cores are computed for open formulas")
@@ -1167,10 +987,10 @@ def core_of_formula(phi: Formula, budget: int | None = None) -> Formula:
             source_of[a] = source
     for alpha in sorted(source_of, key=Atom.key):
         target.discard(alpha.pred, alpha.args)
-        if _hom_exists(source_of[alpha], target, pins, budget):
-            atoms.discard(alpha)
-        else:
+        if _run(source_of[alpha], target, pins, budget) is None:
             target.add(alpha.pred, alpha.args)
+        else:
+            atoms.discard(alpha)
     return Formula(phi.free_vars, atoms)
 
 

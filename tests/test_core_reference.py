@@ -3,15 +3,12 @@ against the core that searched the whole formula into a fresh index for
 every atom (``reference_homs.core_of_formula``).  Both must keep the same
 atoms and print the same renamed core."""
 
-from unittest import mock
-
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference_homs
 from nexus.errors import BudgetExceeded
 from nexus.formulas import Formula, canonical_rename, parse_formula, to_text
-from nexus import homs
 from nexus.homs import _blocks, core_of_formula
 from nexus.kb import Atom, Var
 
@@ -71,15 +68,6 @@ def assert_same_core(phi, budget=None):
 @example(parse_formula("x <- p(x,?y), q(?y,?w), q(?y,?z), r(?w), r(?z)"))
 def test_same_core_as_reference(phi):
     assert_same_core(phi)
-
-
-@settings(max_examples=200, deadline=None)
-@given(formulas())
-def test_same_core_as_reference_past_forward_checking(phi):
-    """With ``_MAC_AFTER`` at 0, every core test that reaches a choice is
-    handed to ``homs._mac``: the same atoms are kept."""
-    with mock.patch.object(homs, "_MAC_AFTER", 0):
-        assert_same_core(phi)
 
 
 def test_blocks_link_bound_variables_only():

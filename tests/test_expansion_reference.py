@@ -196,43 +196,6 @@ def test_heavy_tailed_class_core_within_a_small_budget():
     core_of_formula(can, budget=1_000)
 
 
-def test_class_core_past_forward_checking():
-    """A class can that ``test_matches_reference_on_random_skbs`` can draw:
-    seed 2727 under neighborhood:1, the unit {(e3,e2),(e1,e2),(e2,e1)}
-    plus the tuple (e3,e3), 221 atoms.  Forward checking alone runs past
-    20k nodes in one of its core tests (past 3M, in 10 s, given them), and
-    ``build_expansion_graph`` ran out of the default 10M on this unit.
-    With no budget a test that ``_run`` has not decided in
-    ``_MAC_AFTER`` nodes goes to ``_mac``, and the core finishes."""
-    kb = random_skb(RandomSkbConfig(
-        max_constants=4, predicates=(("isa", 2), ("p", 2)), atom_density=0.2,
-        selector="neighborhood:1", seed=2727,
-    ))
-    tuples = sorted({("e3", "e2"), ("e1", "e2"), ("e2", "e1"), ("e3", "e3")})
-    can = canonical_rename(_can_from_tuples(tuples, kb))
-    assert len(can.atoms) == 221
-    with pytest.raises(BudgetExceeded):
-        core_of_formula(can, budget=20_000)
-    core = core_of_formula(can)
-    assert len(core.atoms) == 109
-    assert equivalent(core, can)
-
-
-def test_fingerprint_check_past_forward_checking():
-    """A can that ``test_fingerprint_inclusion_is_the_hom_order`` draws:
-    seed 967 under component, the unit {(e2,e1),(e2,e4)} plus the tuple
-    (e1,e1), 345 atoms.  Forward checking, in its fixed order, does not
-    find a map of the can into itself within 100k nodes, and the test ran
-    out of the default 10M on this draw; ``_mac``, which takes over with
-    no budget, finds one at once."""
-    kb = make_kb(967, "component")
-    can = _can_from_tuples(sorted({("e2", "e1"), ("e2", "e4"), ("e1", "e1")}), kb)
-    assert len(can.atoms) == 345
-    with pytest.raises(BudgetExceeded):
-        maps_to(can, can, budget=100_000)
-    assert equivalent(can, can)
-
-
 def test_matches_reference_on_seeded_corpus():
     """Units of arity 1-2 and size 1-3 on a seeded corpus, under each
     selector."""

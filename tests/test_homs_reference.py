@@ -10,14 +10,11 @@ import itertools
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from nexus.errors import ArityMismatch, BudgetExceeded
 from nexus.formulas import Formula
-from nexus import homs
-from nexus.homs import (
-    _Budget, _distinct, _mac, _search, _Source, _Target, equivalent, is_isomorphic, maps_to,
-)
+from nexus.homs import _Budget, _distinct, _search, _Target, equivalent, is_isomorphic, maps_to
 from nexus.kb import Atom, Var
 
 import reference_homs
@@ -312,9 +309,8 @@ def test_projections_follow_discard_and_add(start, toggles):
     puts back one absent, as the core does.  The first check builds every
     lookup, so the toggles must keep them in step: the binary partner
     sets through ``project`` at either position and for both roles, the
-    columns, ``supports`` with every set of fixed positions, which reads
-    the ternary tuple sets, and ``supports`` of ``r(y,y)``, which reads
-    the loops."""
+    columns, and ``supports`` with every set of fixed positions, which
+    reads the ternary tuple sets."""
     target = _Target(start)
     atoms = set(start)
 
@@ -332,8 +328,6 @@ def test_projections_follow_discard_and_add(start, toggles):
             for pos in range(key[1]):
                 assert target.column(key, pos) == {tt[pos] for tt in rows[key]}, (key, pos)
         pairs = set(rows[("r", 2)])
-        loops = {a for a, b in pairs if a == b}
-        assert target.supports(("r", 2), (0, 0), True, [None]) == (loops and [(0, loops)] or None)
         for val in INDEX_VALUES:
             ahead = {b for a, b in pairs if a == val}
             behind = {a for a, b in pairs if b == val}
@@ -476,66 +470,3 @@ def test_maps_to_and_equivalent_as_reference(pair):
         for budget in (None, *range(12), max(nodes - 1, 0), nodes):
             expected = _map_verdict(reference, phi1, phi2, budget)
             assert _map_verdict(check, phi1, phi2, budget) == expected, (check, budget)
-
-
-def _mac_problem(source, target, pins, injective):
-    """The problem as ``_mac`` takes it: the pins on the source's
-    variables only (a pin on a constant is implied, and one on an absent
-    term is ``_search``'s contract, not the search's), and ``_kernel``'s
-    ≠ relations for an injective one."""
-    pins = {k: v for k, v in pins.items() if isinstance(k, Var) and k in _terms_of(source)}
-    if injective:
-        source = source + _distinct(_terms_of(source))
-        target = target + _distinct(_terms_of(target))
-    return source, target, pins
-
-
-@st.composite
-def wide_problems(draw):
-    """Problems of ternary atoms that hold a constant or a pinned variable
-    and two open variables, or three open ones, into a dense target:
-    arc consistency revises such an atom over the target tuples that
-    agree with its fixed argument."""
-    terms = SOURCE_VARS[:4] + CONSTS[:2]
-    source = draw(atoms_over([("t", 3)], terms, 2, 6))
-    everything = [Atom("t", args) for args in itertools.product(CONSTS[:3], repeat=3)]
-    target = draw(st.lists(st.sampled_from(everything), min_size=3, max_size=15, unique=True))
-    pins = {v: draw(st.sampled_from(CONSTS[:3]))
-            for v in draw(st.lists(st.sampled_from(SOURCE_VARS[:4]), max_size=1))}
-    return source, target, pins, False
-
-
-A, B, C = SOURCE_VARS[:3]
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(problems(), dense_problems(), dense_binary_problems(),
-                 mirrored_binary_problems(), wide_problems()))
-# no map: t(a,a,b) forces a = c0, then t(a,c0,c) forces c = c2, which
-# t(a,c,a) refuses; revising t(a,c0,c) over tuples that disagree at its
-# constant would keep c = c1 as well, and find a map
-@example(([Atom("t", (A, "c0", C)), Atom("t", (A, A, B)), Atom("t", (A, C, A))],
-          [Atom("t", args) for args in (("c0", "c0", "c2"), ("c0", "c1", "c0"),
-                                        ("c1", "c0", "c1"), ("c0", "c1", "c1"))],
-          {}, False))
-def test_mac_answers_as_reference(problem):
-    """``_mac``, the search with arc consistency maintained, finds a map
-    exactly when the reference kernel does."""
-    source, target, pins, injective = problem
-    source, target, pins = _mac_problem(source, target, pins, injective)
-    expected = reference_homs._search(source, target, pins) is not None
-    assert _mac(_Source.of_atoms(source, pins), _Target(target), pins) == expected
-
-
-@settings(max_examples=300, deadline=None)
-@given(map_pairs())
-def test_maps_to_and_equivalent_past_forward_checking_as_reference(pair):
-    """With ``_MAC_AFTER`` at 0, every search with no budget that reaches
-    a choice is handed to ``_mac``: ``maps_to`` and ``equivalent`` answer
-    as the reference still."""
-    phi1, phi2 = pair
-    with mock.patch.object(homs, "_MAC_AFTER", 0):
-        for check, reference in ((maps_to, reference_homs.maps_to),
-                                 (equivalent, reference_homs.equivalent)):
-            expected = _map_verdict(reference, phi1, phi2)
-            assert _map_verdict(check, phi1, phi2) == expected, check
