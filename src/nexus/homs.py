@@ -88,6 +88,13 @@ Each node is cheap:
   so the answers are the same, and every tuple pays for fewer variables.
   A single test (``tuple_membership``, ``membership_test``), ``evaluate``
   and the core search the formula as given.
+* The core searches only the tests its retraction witness cannot answer
+  (``core_of_formula``): a count per current atom of the input atoms the
+  witness sends there, moved along a block's image after each drop that a
+  search found.  An atom whose count is 0 is dropped untested, as the
+  search would drop it, so the core keeps the same atoms.  A skipped test
+  spends no budget: a core can finish where it used to raise, and where it
+  still raises, that is at a later test.
 """
 
 from __future__ import annotations
@@ -970,9 +977,21 @@ def core_of_formula(phi: Formula, budget: int | None = None) -> Formula:
     of the input may fall apart into several blocks of phi'; a union of
     blocks is still exact.  So the same atoms are dropped.
 
+    The witness r also answers tests with no search.  It is kept as a
+    count per current atom, keyed by its row ``(pred, args)``: how many
+    input atoms r sends onto it, 1 each at the start.  When a search
+    finds g for alpha, r becomes g after r, and only the counts of
+    alpha's block move, each onto the row of its image under g.  An atom
+    beta whose count is 0 is outside r's image, so r maps phi' into
+    phi' - beta: the search it skips would answer "yes", and beta is
+    dropped untested.  So every decision, in the same order, is the one
+    the searches make; only searches are skipped.  ``budget`` caps each
+    block search that runs: a skipped test spends no nodes, so a core can
+    finish within a budget it would otherwise exceed, and where it still
+    runs out, it does so at a later test, never an earlier one.
+
     One index of the current atoms is kept for the whole pass: a test
-    takes alpha out and puts it back if the test fails.  ``budget`` caps
-    each block search.
+    takes alpha out and puts it back if the test fails.
     """
     if phi.arity < 1:
         raise ArityMismatch("cores are computed for open formulas")
@@ -980,17 +999,32 @@ def core_of_formula(phi: Formula, budget: int | None = None) -> Formula:
     free = set(phi.free_vars)
     pins = {v: v for v in free}
     target = _Target(atoms)
-    source_of: dict[Atom, _Source] = {}
+    # r as the number of input atoms it sends onto each current row
+    witness = dict.fromkeys([(a.pred, a.args) for a in atoms], 1)
+    block_of: dict[Atom, tuple[_Source, set[Atom]]] = {}
     for block in _blocks(atoms, free):
-        source = _Source.of_atoms(block, pins)
+        compiled = (_Source.of_atoms(block, pins), block)
         for a in block:
-            source_of[a] = source
-    for alpha in sorted(source_of, key=Atom.key):
-        target.discard(alpha.pred, alpha.args)
-        if _run(source_of[alpha], target, pins, budget) is None:
-            target.add(alpha.pred, alpha.args)
-        else:
-            atoms.discard(alpha)
+            block_of[a] = compiled
+    for alpha in sorted(block_of, key=Atom.key):
+        row = (alpha.pred, alpha.args)
+        target.discard(*row)
+        if witness[row]:
+            source, block = block_of[alpha]
+            image = _run(source, target, pins, budget)
+            if image is None:
+                target.add(*row)
+                continue
+            slot = source.slot
+            moved = []
+            for beta in block:
+                counted = witness[beta.pred, beta.args]
+                if counted:
+                    witness[beta.pred, beta.args] = 0
+                    moved.append((beta, counted))
+            for beta, counted in moved:
+                witness[beta.pred, tuple([image[slot[t]] for t in beta.args])] += counted
+        atoms.discard(alpha)
     return Formula(phi.free_vars, atoms)
 
 

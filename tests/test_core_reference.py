@@ -1,7 +1,8 @@
-"""Differential tests: the block-wise core over one maintained index
-against the core that searched the whole formula into a fresh index for
-every atom (``reference_homs.core_of_formula``).  Both must keep the same
-atoms and print the same renamed core."""
+"""Differential tests: the block-wise core over one maintained index,
+which skips the tests its retraction witness answers, against the core
+that searched the whole formula into a fresh index for every atom
+(``reference_homs.core_of_formula``).  Both must keep the same atoms and
+print the same renamed core."""
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,6 +16,7 @@ from nexus.kb import Atom, Var
 HEAD = [Var("x1"), Var("x2"), Var("x3")]
 CONSTS = ["c0", "c1"]
 PREDS = [("p", 2), ("q", 1), ("r", 2), ("t", 3)]
+RENAMED_COPY = "x <- p(x,?y1), r(?y1,?z1), p(x,?y2), r(?y2,?z2)"
 
 
 @st.composite
@@ -66,7 +68,25 @@ def assert_same_core(phi, budget=None):
 # the second) when a later test of that block runs
 @example(parse_formula("x <- p(x,?y), q(?y,?w), q(?y,?z), r(?w)"))
 @example(parse_formula("x <- p(x,?y), q(?y,?w), q(?y,?z), r(?w), r(?z)"))
+# a block and its renamed copies: the witness answers the copies' later
+# atoms, and the second copy is moved again after the first has moved onto it
+@example(parse_formula(RENAMED_COPY))
+@example(parse_formula("x <- p(x,?y1), r(?y1,?z1), p(x,?y2), r(?y2,?z2), p(x,?y3), r(?y3,?z3)"))
+# a "yes" moves q(?a,?b) onto q(?a,?c) of its own block, which must stay
+@example(parse_formula("x <- p(x,?a), q(?a,?b), q(?a,?c), t(?c)"))
 def test_same_core_as_reference(phi):
+    assert_same_core(phi)
+
+
+def test_witness_answers_before_the_search(kernel_runs):
+    """The first test moves the block of ?y1 onto its copy, so the
+    witness no longer reaches r(?y1,?z1) and drops it with no search.  The
+    tests of p(x,?y2) and r(?y2,?z2) still search, and fail: 3 searches
+    where a pass without the witness makes 4, keeping the same atoms."""
+    phi = parse_formula(RENAMED_COPY)
+    run_calls = kernel_runs()
+    assert to_text(canonical_rename(core_of_formula(phi))) == "x1 <- p(x1,?y1), r(?y1,?y2)"
+    assert run_calls() == 3
     assert_same_core(phi)
 
 

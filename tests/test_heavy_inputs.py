@@ -1,0 +1,60 @@
+"""The heavy-input corpus: for each random KB known to stall a class core
+of the expansion graph, its hardest single class can, cored in about a
+second.  Each can is built as the graph builder builds it, with
+``_can_from_tuples`` and ``canonical_rename``, not through the whole
+graph, and its work is bounded by a count (kernel searches or a node
+budget), not by a timer.  A strict xfail is an input whose core is still
+past its budget; the change that makes one pass turns it into a plain
+test."""
+
+import pytest
+
+from nexus.characterize import _can_from_tuples
+from nexus.errors import BudgetExceeded
+from nexus.formulas import canonical_rename
+from nexus.homs import core_of_formula
+from nexus.oracles import RandomSkbConfig, random_skb
+
+
+def class_can(seed, selector, unit, tau):
+    """The renamed can of ``unit`` + ``tau`` over the random KB that
+    ``test_matches_reference_on_random_skbs`` draws for ``seed``."""
+    kb = random_skb(RandomSkbConfig(
+        max_constants=4, predicates=(("isa", 2), ("p", 2)), atom_density=0.2,
+        selector=selector, seed=seed,
+    ))
+    return canonical_rename(_can_from_tuples(sorted(unit | {tau}), kb))
+
+
+def test_seed_10000_class_core_within_100_searches(kernel_runs):
+    """Seed 10000 under sigma0, the unit {(e3,e4),(e4,e2),(e2,e3)} and the
+    tuple (e3,e2): 2,657 atoms folding to 59.  The retraction witness
+    answers most tests, so the core takes 53 searches; testing every
+    atom takes 2,642 and tens of seconds."""
+    can = class_can(10_000, "sigma0", {("e3", "e4"), ("e4", "e2"), ("e2", "e3")}, ("e3", "e2"))
+    assert (len(can.atoms), len(can.vars)) == (2_657, 252)
+    kernel_runs(limit=100)
+    assert len(core_of_formula(can).atoms) == 59
+
+
+@pytest.mark.xfail(raises=BudgetExceeded, strict=True,
+                   reason="heavy-tailed core search; ROADMAP items 4 and 6")
+def test_seed_356_class_core_within_a_small_budget():
+    """Seed 356 under neighborhood:1, the unit {(e2,e2),(e1,e3),(e1,e4)}
+    and the tuple (e3,e1): 378 atoms over 126 variables.  Its fourth block
+    search exceeds 20,000 nodes, and still 1,000,000."""
+    can = class_can(356, "neighborhood:1", {("e2", "e2"), ("e1", "e3"), ("e1", "e4")}, ("e3", "e1"))
+    assert (len(can.atoms), len(can.vars)) == (378, 126)
+    core_of_formula(can, budget=20_000)
+
+
+@pytest.mark.xfail(raises=BudgetExceeded, strict=True,
+                   reason="heavy-tailed core search; ROADMAP items 4 and 6")
+def test_seed_2727_class_core_within_a_small_budget():
+    """Seed 2727 under neighborhood:1, the unit {(e3,e2),(e1,e2),(e2,e1)}
+    and the tuple (e3,e3): 221 atoms over 78 variables, the one class
+    core of that graph that exceeds 20,000 nodes (in its fourth block
+    search), as the whole graph exceeds the default budget."""
+    can = class_can(2727, "neighborhood:1", {("e3", "e2"), ("e1", "e2"), ("e2", "e1")}, ("e3", "e3"))
+    assert (len(can.atoms), len(can.vars)) == (221, 78)
+    core_of_formula(can, budget=20_000)
