@@ -12,6 +12,7 @@ with exit 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -289,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
         common(p)
         p.add_argument("--t", required=True)
         p.add_argument("--t2", required=True)
-        p.set_defaults(fn=_cmd_compare, wanted=wanted)
+        p.set_defaults(fn=functools.partial(_cmd_compare, wanted=wanted))
 
     p = sub.add_parser("eg", help="build the expansion graph")
     common(p, out=True)
@@ -328,8 +329,6 @@ def run(argv=None) -> int:
             if value is not None and value < 0:
                 raise ParseError(f"--{name} must not be negative, got {value}",
                                  option=f"--{name}")
-        if hasattr(args, "wanted"):
-            return args.fn(args, args.wanted)
         return args.fn(args)
     except NexusError as exc:
         sys.stderr.write(json.dumps(exc.record(), sort_keys=True) + "\n")

@@ -54,9 +54,9 @@ Each node is cheap:
   both positions, so in one group.
 * The search is a loop over an explicit stack.  Narrowed candidate sets
   are recorded on a trail and restored on backtracking, and the open
-  variables wait in buckets by candidate count, sorted by name, so
-  choosing the next variable does not scan them all.  Depth is bounded by
-  memory, not by the interpreter's recursion limit.
+  variables wait in one list sorted by candidate count, then name, whose
+  last entry is the next choice, so choosing does not scan them all.
+  Depth is bounded by memory, not by the interpreter's recursion limit.
 * The source side is compiled once per formula (``_Source``): its terms
   numbered, so a search keeps its image in a list, and the variables'
   name order and atoms fixed.  Sweeps over many tuples (``instances``
@@ -531,7 +531,12 @@ def _run(
     *Increasing tree search efficiency for constraint satisfaction
     problems*, 1980): asking the target about them could only return
     ``[]``, so the tree, its node count and its budget point are those of
-    asking every atom."""
+    asking every atom.
+
+    The open slots wait in ``order``, ascending unique keys ``-(candidate
+    count * n + name rank)``, ``n`` the number of unpinned variables, so
+    the last is the next choice.  A choice pops it; a narrowing, an undo
+    or an exhausted choice moves one key by bisection."""
     image = source.image_of(pins)
 
     # root pass: every atom must have support, var domains start narrowed
@@ -552,51 +557,32 @@ def _run(
         if not domains[s]:
             return None
 
-    # open slots by candidate count, each bucket a sorted list of name ranks
+    n = len(by_rank)
     rank, by_var, pairs = source.rank, source.by_var, source.pairs
     supports, project = target.supports, target.project
-    buckets: dict[int, list[int]] = {}
-    for r, s in enumerate(by_rank):
-        buckets.setdefault(len(domains[s]), []).append(r)
-
-    def move(s, old: int, new: int):
-        r = rank[s]
-        ranks = buckets[old]
-        del ranks[bisect_left(ranks, r)]
-        if not ranks:
-            del buckets[old]
-        ranks = buckets.get(new)
-        if ranks is None:
-            buckets[new] = [r]
-        else:
-            insort(ranks, r)
-
-    def pick():
-        size = min(buckets)
-        ranks = buckets[size]
-        s = by_rank[ranks.pop(0)]
-        if not ranks:
-            del buckets[size]
-        return s
-
-    def put_back(s):
-        ranks = buckets.get(len(domains[s]))
-        if ranks is None:
-            buckets[len(domains[s])] = [rank[s]]
-        else:
-            insort(ranks, rank[s])
-
+    order = sorted(-(len(domains[s]) * n + r) for r, s in enumerate(by_rank))
     trail: list[tuple] = []  # (slot, its candidate set before narrowing)
 
-    def narrow(u, current, narrowed):
-        trail.append((u, current))
-        domains[u] = narrowed
-        move(u, len(current), len(narrowed))
+    def narrow(u, values) -> bool:
+        """Narrow open slot ``u`` by ``values`` on the trail: False if none is left."""
+        current = domains[u]
+        narrowed = current & values
+        if not narrowed:
+            return False
+        if len(narrowed) != len(current):
+            r = rank[u]
+            del order[bisect_left(order, -(len(current) * n + r))]
+            insort(order, -(len(narrowed) * n + r))
+            trail.append((u, current))
+            domains[u] = narrowed
+        return True
 
     def undo(mark: int):
         while len(trail) > mark:
             u, previous = trail.pop()
-            move(u, len(domains[u]), len(previous))
+            r = rank[u]
+            del order[bisect_left(order, -(len(domains[u]) * n + r))]
+            insort(order, -(len(previous) * n + r))
             domains[u] = previous
 
     def propagate(var, val) -> bool:
@@ -615,12 +601,8 @@ def _run(
                     values = project(key, p, val)
                     if values is None:
                         return False
-                current = domains[u]
-                narrowed = current & values
-                if not narrowed:
+                if not narrow(u, values):
                     return False
-                if len(narrowed) != len(current):
-                    narrow(u, current, narrowed)
         for key, slots, repeats in by_var[var]:
             for s in slots:
                 if image[s] is None:
@@ -631,45 +613,36 @@ def _run(
             if found is None:
                 return False
             for u, values in found:
-                current = domains[u]
-                narrowed = current & values
-                if not narrowed:
+                if not narrow(u, values):
                     return False
-                if len(narrowed) != len(current):
-                    narrow(u, current, narrowed)
         return True
 
-    if not buckets:
+    if not order:
         return image
     meter = _Budget(DEFAULT_BUDGET if budget is None else budget)
-    var = pick()
-    # frame: [slot, its values in order, next value index, trail mark]
-    frames = [[var, sorted(domains[var], key=term_key), 0, 0]]
+    var = by_rank[-order.pop() % n]
+    # frame: (slot, iterator over its values in order, trail mark)
+    frames = [(var, iter(sorted(domains[var], key=term_key)), 0)]
     while frames:
-        frame = frames[-1]
-        var, values, mark = frame[0], frame[1], frame[3]
+        var, values, mark = frames[-1]
         if image[var] is not None:  # back from a failed subtree: retract the value
             image[var] = None
             undo(mark)
-        i = frame[2]
-        while i < len(values):
-            val = values[i]
-            i += 1
+        for val in values:
             meter.spend()
             image[var] = val
             if propagate(var, val):
                 break
             undo(mark)
             image[var] = None
-        frame[2] = i
         if image[var] is None:
             frames.pop()
-            put_back(var)
+            insort(order, -(len(domains[var]) * n + rank[var]))
             continue
-        if not buckets:
+        if not order:
             return image
-        var = pick()
-        frames.append([var, sorted(domains[var], key=term_key), 0, len(trail)])
+        var = by_rank[-order.pop() % n]
+        frames.append((var, iter(sorted(domains[var], key=term_key)), len(trail)))
     return None
 
 

@@ -41,6 +41,12 @@ def test_product_tuples_mixed_arity():
         product_tuples([("a",), ("b", "c")])
 
 
+@pytest.mark.parametrize("product", [product_tuples, product_datasets])
+def test_product_of_nothing(product):
+    with pytest.raises(MixedArity, match="product of zero"):
+        product([])
+
+
 def test_product_datasets_mirror(mirror_kb):
     s11 = mirror_kb.summary(("1", "1"))
     s12 = mirror_kb.summary(("1", "2"))

@@ -10,7 +10,7 @@ import pytest
 
 from nexus import expansion
 from nexus.characterize import build_can
-from nexus.errors import InvariantViolation, OverlapWithUnit, TupleSpaceTooLarge
+from nexus.errors import InvariantViolation, MixedArity, OverlapWithUnit, TupleSpaceTooLarge
 from nexus.expansion import (
     INC,
     PREC,
@@ -108,6 +108,15 @@ def test_gadgets_reject_unit_overlap(parks_kb, parks_unit):
         gad1(parks_kb, parks_unit, ("Epcot",), ("Prater",))
     with pytest.raises(OverlapWithUnit):
         compare(parks_kb, parks_unit, ("Prater",), ("Epcot",))
+
+
+@pytest.mark.parametrize("gadget, tau, tau2", [
+    pytest.param(gad1, ("Prater",), ("Prater", "Epcot"), id="gad1"),
+    pytest.param(gad2, ("Prater", "Epcot"), ("Prater",), id="gad2"),
+])
+def test_gadgets_reject_wrong_arity(parks_kb, parks_unit, gadget, tau, tau2):
+    with pytest.raises(MixedArity, match="does not match the unit arity"):
+        gadget(parks_kb, parks_unit, tau, tau2)
 
 
 def test_compare_parks_entities(parks_kb, parks_unit):

@@ -190,3 +190,24 @@ def test_struct_export():
     kinds = {(a["pred"], tuple((t["kind"], t["name"]) for t in a["args"])) for a in s["atoms"]}
     assert ("p", (("variable", "x"), ("constant", "c"))) in kinds
     assert ("q", (("variable", "y"),)) in kinds
+
+
+@pytest.mark.parametrize("make, error, message", [
+    pytest.param(lambda: parse_formula("p(x)"), ParseError, "needs '<-'", id="no-arrow"),
+    pytest.param(lambda: parse_formula("x <- p(x) q(x)"), ParseError, "expected ','",
+                 id="missing-comma"),
+    pytest.param(lambda: parse_formula("x <- p(x), )("), ParseError, "cannot parse",
+                 id="unparsable-body"),
+    pytest.param(lambda: parse_formula("x <- ?p(x)"), ParseError, "not a legal predicate",
+                 id="variable-predicate"),
+    pytest.param(lambda: parse_formula("x <- p()"), ParseError, "no arguments", id="nullary"),
+    pytest.param(lambda: parse_formula("x <- p(x),"), ParseError, "trailing ','",
+                 id="trailing-comma"),
+    pytest.param(lambda: Formula(["x"], [Atom("p", (X,))]), ParseError,
+                 "is not a variable", id="constant-head-entry"),
+    pytest.param(lambda: nearly_connected_part(Formula([], [atom("q", "c")])), ArityMismatch,
+                 "open formula", id="nearly-connected-part-arity-0"),
+])
+def test_input_errors(make, error, message):
+    with pytest.raises(error, match=message):
+        make()

@@ -109,6 +109,28 @@ def test_long_chain_needs_no_deep_stack():
     assert all(Atom("p", (hom[u], hom[v])) in target for u, v in zip(chain, chain[1:]))
 
 
+@pytest.mark.parametrize("shuffled", [False, True], ids=["path-order", "shuffled"])
+def test_path_into_k3_searches_past_the_recursion_limit(shuffled):
+    names = [f"v{i:04d}" for i in range(5001)]
+    if shuffled:
+        random.Random(23).shuffle(names)
+    path = [Var(name) for name in names]
+    source = frozenset(Atom("p", (u, v)) for u, v in zip(path, path[1:]))
+    target = close_under_top([atom("p", a, b) for a in "abc" for b in "abc" if a != b]).atoms
+    problem = HomProblem(source, target)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        # no value ever fails, so the search tries exactly one per variable
+        hom = find_hom(problem, budget=5_001)
+        with pytest.raises(BudgetExceeded):
+            find_hom(problem, budget=5_000)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert hom is not None
+    assert all(Atom("p", (hom[u], hom[v])) in target for u, v in zip(path, path[1:]))
+
+
 @pytest.fixture()
 def kernel_meter(monkeypatch):
     """Counts the queries a search asks of the target, ``_Target.supports``
@@ -401,3 +423,20 @@ def test_canonical_class_disjoint_predicates_differ():
 def test_canonical_class_core_is_fixpoint(parks_cores):
     cls = canonical_class(parks_cores["florida_tp"])
     assert canonical_class(cls.representative) == cls
+
+
+_CLOSED = Formula([], [atom("q", "c")])
+
+
+@pytest.mark.parametrize("make, error, message", [
+    pytest.param(lambda: HomProblem(frozenset(), frozenset(), {"a": "b"}), ArityMismatch,
+                 "pinned away", id="constant-pinned-away"),
+    pytest.param(lambda: instances(_CLOSED, SelectiveKB(close_under_top([atom("q", "c")]),
+                                                        SelectorSpec.full())),
+                 ArityMismatch, "open formula", id="instances-arity-0"),
+    pytest.param(lambda: core_of_formula(_CLOSED), ArityMismatch, "open formulas",
+                 id="core-arity-0"),
+])
+def test_input_errors(make, error, message):
+    with pytest.raises(error, match=message):
+        make()

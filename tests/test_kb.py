@@ -6,6 +6,8 @@ from nexus.errors import (
     EmptyInput,
     EmptyUnit,
     MixedArity,
+    NotClosed,
+    NotGround,
     NotProper,
     ParseError,
     SelectorViolation,
@@ -15,8 +17,11 @@ from nexus.errors import (
 from nexus.kb import (
     TOP,
     Atom,
+    Dataset,
     SelectiveKB,
     SelectorSpec,
+    Unit,
+    Var,
     _sigma0_single,
     atom,
     close_under_top,
@@ -303,3 +308,46 @@ def test_parse_tuple_and_unit_lines():
 
 def test_facts_roundtrip(parks_dataset):
     assert parse_facts(render_facts(parks_dataset)) == parks_dataset
+
+
+_SMALL = close_under_top([atom("p", "a", "b"), atom("q", "c")])
+
+
+def _summary_under(select):
+    return SelectiveKB(_SMALL, SelectorSpec.custom(select)).summary(("a",))
+
+
+@pytest.mark.parametrize("make, error, message", [
+    pytest.param(lambda: Dataset([]), EmptyInput, "cannot be empty", id="dataset-empty"),
+    pytest.param(lambda: Dataset([Atom("p", (Var("x"),))]), NotGround, "non-ground",
+                 id="dataset-not-ground"),
+    pytest.param(lambda: Dataset([atom("p", "a")]), NotClosed, "not closed",
+                 id="dataset-not-closed"),
+    pytest.param(lambda: close_under_top([Atom("p", (Var("x"),))]), NotGround, "non-ground",
+                 id="close-not-ground"),
+    pytest.param(lambda: Unit([()]), EmptyUnit, "arity >= 1", id="unit-arity-0"),
+    pytest.param(lambda: SelectorSpec("psychic"), ParseError, "unknown selector strategy",
+                 id="selector-unknown"),
+    pytest.param(lambda: SelectorSpec("neighborhood", radius=0), ParseError,
+                 "positive radius", id="selector-radius-0"),
+    pytest.param(lambda: SelectorSpec("custom"), ParseError, "needs a callable",
+                 id="selector-custom-without-callable"),
+    pytest.param(lambda: _summary_under(lambda ds, tau: [atom("p", "a", "b")]),
+                 SelectorViolation, "invalid dataset", id="summary-without-tops"),
+    pytest.param(lambda: _summary_under(lambda ds, tau: [atom("q", "c"), atom("top", "c")]),
+                 SelectorViolation, "every constant of the tuple", id="summary-drops-tau"),
+    pytest.param(lambda: parse_facts("?p(a)\n"), ParseError, "not a legal predicate",
+                 id="facts-variable-predicate"),
+    pytest.param(lambda: parse_facts("p()\n"), ParseError, "no arguments", id="facts-nullary"),
+    pytest.param(lambda: parse_facts("p(top)\n"), ParseError, "not a legal constant",
+                 id="facts-top-constant"),
+    pytest.param(lambda: parse_facts("# nothing\n\n"), EmptyInput, "no atoms",
+                 id="facts-comment-only"),
+    pytest.param(lambda: parse_tuple("()"), ParseError, "empty tuple", id="tuple-empty"),
+    pytest.param(lambda: parse_unit_tuples("(a)\nb\n"), ParseError, "^line 2: ",
+                 id="unit-bad-line"),
+    pytest.param(lambda: parse_unit_tuples(""), EmptyUnit, "no tuples", id="unit-empty-text"),
+])
+def test_input_errors(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
