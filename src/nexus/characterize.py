@@ -127,11 +127,11 @@ def _reachable_product(
     A predicate symmetric in every operand is symmetric in the product,
     and its partners of c at position 0 are those at position 1 (the
     undirected-graph view of a symmetric relation; Hell & Nesetril,
-    *Graphs and Homomorphisms*, 2004).  It is joined once per constant, at
-    whichever position the walk meets first, which numbers new partners
-    as the two joins did, and each edge emits both its atoms there:
-    ``p(c, d)`` and ``p(d, c)`` for a partner d numbered above c, and
-    ``p(c, c)`` once.
+    *Graphs and Homomorphisms*, 2004).  The same join serves it, run once
+    per constant, at whichever position the walk meets first, which
+    numbers new partners as the two joins did, and each edge emits both
+    its atoms there: ``p(c, d)`` and ``p(d, c)`` for a partner d numbered
+    above c, and ``p(c, c)`` once.
     """
     indexes = [_operand_index(s) for s in summaries]
     first, *rest = [index for index, _symmetric in indexes]
@@ -155,31 +155,21 @@ def _reachable_product(
             else:
                 if len(slot) == 2:
                     pred, pos = slot
-                    last = joined.get(pred)
-                    if last is not None:  # symmetric in every operand
-                        if last == i:
+                    symmetric = pred in joined  # symmetric in every operand
+                    if symmetric:
+                        if joined[pred] == i:
                             continue  # joined at the other position
                         joined[pred] = i
-                        for partner in itertools.product(*pools):
-                            j = number.get(partner)
-                            if j is None:  # met for the first time
-                                j = number[partner] = len(consts)
-                                consts.append(partner)
-                            elif j <= i:
-                                if j == i:
-                                    rows.append((pred, (i, i)))
-                                continue  # emitted from the lower-numbered end
-                            rows.append((pred, (i, j)))
-                            rows.append((pred, (j, i)))
-                        continue
                     for partner in itertools.product(*pools):
                         j = number.get(partner)
                         if j is None:  # met for the first time
                             j = number[partner] = len(consts)
                             consts.append(partner)
-                        elif j < i or (j == i and pos):
+                        elif j < i or (j == i and pos and not symmetric):
                             continue  # emitted from the lower-numbered end
-                        rows.append((pred, (j, i) if pos else (i, j)))
+                        rows.append((pred, (j, i) if pos and not symmetric else (i, j)))
+                        if symmetric and j != i:
+                            rows.append((pred, (j, i)))
                     continue
                 for combo in itertools.product(*pools):
                     args = tuple(map(number.get, zip(*combo)))

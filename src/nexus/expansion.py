@@ -27,6 +27,7 @@ are.  Only class representatives become formulas, to be cored.
 
 from __future__ import annotations
 
+import graphlib
 import itertools
 import json
 from dataclasses import dataclass
@@ -409,27 +410,13 @@ def _check_invariants(
     graph: ExpansionGraph, unit: Unit, kb: SelectiveKB, space, budget
 ):
     k = len(graph.nodes)
-    # acyclicity by depth-first search over arcs
-    succ = {i: [] for i in range(k)}
+    sorter = graphlib.TopologicalSorter()
     for i, j in graph.arcs:
-        succ[i].append(j)
-    state = [0] * k  # 0 unseen, 1 on the current path, 2 done
-    for root in range(k):
-        if state[root]:
-            continue
-        state[root] = 1
-        stack = [(root, iter(succ[root]))]
-        while stack:
-            i, pending = stack[-1]
-            j = next(pending, None)
-            if j is None:
-                state[i] = 2
-                stack.pop()
-            elif state[j] == 1:
-                raise InvariantViolation("expansion graph has a cycle")
-            elif state[j] == 0:
-                state[j] = 1
-                stack.append((j, iter(succ[j])))
+        sorter.add(j, i)
+    try:
+        sorter.prepare()
+    except graphlib.CycleError as err:
+        raise InvariantViolation("expansion graph has a cycle") from err
 
     seen: set[ConstTuple] = set()
     total = 0

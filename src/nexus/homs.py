@@ -23,9 +23,10 @@ Each node is cheap:
   built on first use, the set of values of each column and, per value
   and position, its partners (the values at the other position) in a
   binary relation and the tuples holding it at any other arity.  An
-  atom's supports come from the smallest set of its fixed positions, a
-  stored partner set when one end of a binary atom is fixed, and a fully
-  fixed atom is one set lookup.  The index is built per search, except
+  atom's supports come from the smallest set of its fixed positions,
+  filtered by its other fixed values and by the equal positions of a
+  repeated variable, a stored partner set when one end of a binary atom
+  is fixed, and a fully fixed atom is one set lookup.  The index is built per search, except
   that the core keeps one index of its current atoms for the whole pass,
   taking out and putting back one atom per test, a whole dataset's index
   is built at most once per ``Dataset`` (``_dataset_target``), for
@@ -42,16 +43,11 @@ Each node is cheap:
   open variables are grouped per variable by predicate and the variable's
   position, and a group is one query however many atoms it has: the
   chosen value's partners at the other position (``_Target.project``),
-  read off the index and intersected into each partner still open.  A
-  variable whose partners of a predicate are the same in both positions,
-  as under a symmetric relation, has one group for both, asked the
-  partners under T ∩ T⁻¹, the intersection of the value's two partner
-  sets: narrowing a partner by both at once gives what the two groups
-  give in turn.  Intersection does not depend on order, so the tree is
-  again the same.
+  read off the index and intersected into each partner still open.
+  Intersection does not depend on order, so the tree is again the same.
   In the canonical characterization of a 3-colourability reduction a
   variable holds about 60 ``arc`` atoms on average, with each partner in
-  both positions, so in one group.
+  both positions, so in two groups, one per role.
 * The search is a loop over an explicit stack.  Narrowed candidate sets
   are recorded on a trail and restored on backtracking, and the open
   variables wait in one list sorted by candidate count, then name, whose
@@ -174,16 +170,16 @@ class _Source:
     gathered into each slot's forward partners (the slot at position 0)
     and backward ones (at position 1), and each list is a group
     ``(key, p, partners)`` with ``key`` ``(pred, 2)``, the slot's
-    position ``p`` and the partner slots.  A slot whose two lists are
-    equal as sets has one group for both, with ``p`` None.
+    position ``p`` and the partner slots.
     Every other atom holding an unpinned variable is in that variable's
-    ``by_var`` as ``((pred, arity), slots, repeats)``.
+    ``by_var`` as ``((pred, arity), slots)``, once however often it holds
+    the variable.
 
     The root pass checks every row.  An atom whose arguments are distinct
     unpinned variables only restricts each to a column of the target, so
     it intersects columns once per distinct set of them (``by_columns``);
-    a pair atom's columns are those of its slots' positions, both for a
-    both-roles group.  Every other atom, nullary ones included, is asked
+    a pair atom's columns are those of its slots' positions.  Every other
+    atom, nullary ones and those that repeat a variable included, is asked
     of the index (``fixed_atoms``).
     """
 
@@ -214,37 +210,27 @@ class _Source:
                     role[1][b].append(a)
                     continue
             key = (pred, len(slots))
-            compiled = (key, slots, len(set(slots)) < len(slots))
+            repeats = len(set(slots)) < len(slots)
             held = [s for s in slots if open_slot[s]]
-            if not compiled[2] and 0 < len(held) == len(slots):
+            if not repeats and 0 < len(held) == len(slots):
                 for pos, s in enumerate(slots):
                     columns[s].add((key, pos))
             else:
-                self.fixed_atoms.append(compiled)
-                if compiled[2]:
+                self.fixed_atoms.append((key, slots))
+                if repeats:
                     held = dict.fromkeys(held)
             for s in held:
-                by_var[s].append(compiled)
+                by_var[s].append((key, slots))
         self.by_var = [()] * len(terms)
         for s, atoms in by_var.items():
             self.by_var[s] = atoms
         pairs: dict[int, list] = defaultdict(list)  # slot -> its groups
-        for pred, (forward, backward) in roles.items():
+        for pred, by_role in roles.items():
             key = (pred, 2)
-            for s, ahead in forward.items():
-                behind = backward.pop(s, None)
-                if behind is None:
-                    pairs[s].append((key, 0, ahead))
-                    columns[s].add((key, 0))
-                    continue
-                if len(ahead) == len(behind) and set(ahead) == set(behind):
-                    pairs[s].append((key, None, ahead))
-                else:
-                    pairs[s] += [(key, 0, ahead), (key, 1, behind)]
-                columns[s].update([(key, 0), (key, 1)])
-            for s, behind in backward.items():
-                pairs[s].append((key, 1, behind))
-                columns[s].add((key, 1))
+            for p, partners_of in enumerate(by_role):
+                for s, partners in partners_of.items():
+                    pairs[s].append((key, p, partners))
+                    columns[s].add((key, p))
         self.pairs = [()] * len(terms)
         for s, groups in pairs.items():
             self.pairs[s] = groups
@@ -325,19 +311,10 @@ class _Target:
 
     def project(self, key, p, val):
         """The partners of ``val`` at position ``p`` of the binary relation
-        T under ``key``, or None when no tuple holds it there: what
+        under ``key``, or None when no tuple holds it there: what
         ``supports`` offers the open slot of a binary atom whose other
-        slot is fixed to ``val``.  With ``p`` None, T is asked for both
-        roles at once: the values w with both ``(val, w)`` and ``(w, val)``
-        in T, the partners under T ∩ T⁻¹, computed per call, or None when
-        there is none.  The set must not be mutated."""
-        if p is not None:
-            return self._holding(key, p, val)
-        ahead = self._holding(key, 0, val)
-        behind = self._holding(key, 1, val)
-        if ahead is None or behind is None:
-            return None
-        return ahead & behind or None
+        slot is fixed to ``val``.  The set must not be mutated."""
+        return self._holding(key, p, val)
 
     def discard(self, pred: str, args: tuple):
         """Take one indexed atom out, keeping the lookups built so far in
@@ -372,13 +349,17 @@ class _Target:
             if column is not None:
                 column.add(value)
 
-    def supports(self, key, slots, repeats: bool, image: list):
+    def supports(self, key, slots, image: list):
         """The target tuples compatible with the fixed arguments of a
         compiled atom: None when there is none, otherwise ``(slot, values)``
-        for each open slot, the values the tuples offer it (an empty list
-        when every argument is fixed).  A binary atom with one end fixed is
-        offered that end's partner set as the index stores it.  The value
-        sets must not be mutated.
+        for each distinct open slot, the values the tuples offer it (an
+        empty list when every argument is fixed).  A binary atom with one
+        end fixed is offered that end's partner set as the index stores
+        it, and an atom with nothing fixed and no repeated slot its
+        columns.  Otherwise the tuples are read from the smallest set
+        holding a fixed value, or from every row, and kept when they agree
+        with every fixed value and, for an open slot the atom repeats, on
+        each of its positions.  The value sets must not be mutated.
         """
         rows = self.rows.get(key)
         if not rows:
@@ -395,51 +376,26 @@ class _Target:
                 fixed.append((pos, val))
         if not open_slots:
             return [] if tuple(val for _pos, val in fixed) in rows else None
-        if repeats and len(set(open_slots)) < len(open_slots):
-            return self._scan(rows, key, fixed, open_slots, open_pos)
-        if not fixed:
-            return [(s, self.column(key, p)) for s, p in zip(open_slots, open_pos)]
-        if key[1] == 2:
+        if fixed and key[1] == 2:
             partners = self._holding(key, *fixed[0])
             return None if partners is None else [(open_slots[0], partners)]
-        best = None
+        at = dict(zip(open_slots, open_pos))  # a position of each distinct open slot
+        if not fixed and len(at) == len(open_slots):
+            return [(s, self.column(key, p)) for s, p in at.items()]
+        best = rows
         for pos, val in fixed:
             holding = self._holding(key, pos, val)
             if holding is None:
                 return None
-            if best is None or len(holding) < len(best):
+            if len(holding) < len(best):
                 best = holding
-        if len(fixed) > 1:
-            best = [tt for tt in best if all(tt[p] == val for p, val in fixed)]
+        same = [(p, at[s]) for s, p in zip(open_slots, open_pos) if at[s] != p]
+        if len(fixed) > 1 or same:
+            best = [tt for tt in best if all(tt[p] == val for p, val in fixed)
+                    and all(tt[p] == tt[q] for p, q in same)]
             if not best:
                 return None
-        return [(s, {tt[p] for tt in best}) for s, p in zip(open_slots, open_pos)]
-
-    def _scan(self, rows, key, fixed, open_slots, open_pos):
-        """Supports of an atom that repeats an open slot: the tuples must
-        agree on every position of that slot.  A binary such atom has no
-        fixed position, so every set read here is a set of tuples."""
-        candidates = rows
-        for pos, val in fixed:
-            holding = self._holding(key, pos, val)
-            if holding is None:
-                return None
-            if len(holding) < len(candidates):
-                candidates = holding
-        first: dict = {}
-        for s, p in zip(open_slots, open_pos):
-            first.setdefault(s, p)
-        supports: dict = {s: set() for s in first}
-        found = False
-        for tt in candidates:
-            if any(tt[p] != val for p, val in fixed):
-                continue
-            if any(tt[p] != tt[first[s]] for s, p in zip(open_slots, open_pos)):
-                continue
-            found = True
-            for s, p in first.items():
-                supports[s].add(tt[p])
-        return list(supports.items()) if found else None
+        return [(s, {tt[p] for tt in best}) for s, p in at.items()]
 
 
 def _dataset_target(dataset: Dataset) -> _Target:
@@ -467,11 +423,10 @@ def _free_domains(source: _Source, target: _Target, free: Iterable[Var]):
 def _intersect_supports(target: _Target, atoms: Iterable, image: list, domains: list) -> bool:
     """Narrow ``domains``, one value set per slot and None for a slot not
     yet narrowed, to the supports in ``target`` of each compiled atom
-    ``(key, slots, repeats)`` under ``image``: False when one of them has
-    none."""
+    ``(key, slots)`` under ``image``: False when one of them has none."""
     supports = target.supports
-    for key, slots, repeats in atoms:
-        found = supports(key, slots, repeats, image)
+    for key, slots in atoms:
+        found = supports(key, slots, image)
         if found is None:
             return False
         for s, values in found:
@@ -519,11 +474,10 @@ def _run(
     Invariant: every atom whose slots all have an image holds in the
     target.  The root pass narrows the slot of an atom with one open
     variable with every other argument fixed (a column intersection, or
-    ``fixed_atoms``, through ``_Target._scan`` for repeats), and
-    ``propagate`` does the same for an atom left with one open variable:
-    a pair atom's partner is narrowed to the chosen value's partners in
-    the target (under both roles at once in a both-roles group), which is
-    what ``supports`` would offer it.
+    ``fixed_atoms``), and ``propagate`` does the same for an atom left
+    with one open variable: a pair atom's partner is narrowed to the
+    chosen value's partners in the target, which is what ``supports``
+    would offer it.
     Candidates only shrink until ``undo`` restores them together with
     that narrowing, so any value the variable then takes completes a
     tuple of the target.  ``propagate`` therefore skips the atoms with
@@ -603,13 +557,13 @@ def _run(
                         return False
                 if not narrow(u, values):
                     return False
-        for key, slots, repeats in by_var[var]:
+        for key, slots in by_var[var]:
             for s in slots:
                 if image[s] is None:
                     break
             else:
                 continue
-            found = supports(key, slots, repeats, image)
+            found = supports(key, slots, image)
             if found is None:
                 return False
             for u, values in found:
@@ -769,7 +723,7 @@ def _fold(terms: list, rows: list, free: Iterable) -> list:
         queued.discard(v)
         held = holding[v]
         image[v] = None
-        atoms = [((pred, len(args)), args, len(set(args)) < len(args)) for pred, args in held]
+        atoms = [((pred, len(args)), args) for pred, args in held]
         folds = _intersect_supports(target, atoms, image, domains) and len(domains[v]) > 1
         image[v], domains[v] = v, None
         if not folds:

@@ -130,8 +130,8 @@ def source_shape(source: _Source):
     term = source.terms.__getitem__
 
     def atom(compiled):
-        key, slots, repeats = compiled
-        return key, tuple(map(term, slots)), repeats
+        key, slots = compiled
+        return key, tuple(map(term, slots))
 
     assert [source.slot[t] for t in source.terms] == list(range(len(source.terms)))
     return {

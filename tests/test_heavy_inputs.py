@@ -58,3 +58,25 @@ def test_seed_2727_class_core_within_a_small_budget():
     can = class_can(2727, "neighborhood:1", {("e3", "e2"), ("e1", "e2"), ("e2", "e1")}, ("e3", "e3"))
     assert (len(can.atoms), len(can.vars)) == (221, 78)
     core_of_formula(can, budget=20_000)
+
+
+@pytest.mark.xfail(raises=BudgetExceeded, strict=True,
+                   reason="heavy-tailed core search; ROADMAP items 4 and 6")
+def test_seed_151_class_core_within_a_small_budget():
+    """Seed 151 under neighborhood:1, the unit {(e4,e4),(e2,e4),(e1,e4)}
+    and the tuple (e2,e2): 287 atoms over 81 variables.  Its first block
+    search exceeds 20,000 nodes, and still 2,000,000."""
+    can = class_can(151, "neighborhood:1", {("e4", "e4"), ("e2", "e4"), ("e1", "e4")}, ("e2", "e2"))
+    assert (len(can.atoms), len(can.vars)) == (287, 81)
+    core_of_formula(can, budget=20_000)
+
+
+@pytest.mark.xfail(raises=BudgetExceeded, strict=True,
+                   reason="heavy-tailed core search; ROADMAP items 4 and 6")
+def test_seed_8373_class_core_within_a_small_budget():
+    """Seed 8373 under neighborhood:1, the unit {(e1,e3),(e2,e1),(e4,e3)}
+    and the tuple (e4,e4): 1,027 atoms over 207 variables.  Its 114th
+    block search exceeds 20,000 nodes, and still 1,000,000."""
+    can = class_can(8373, "neighborhood:1", {("e1", "e3"), ("e2", "e1"), ("e4", "e3")}, ("e4", "e4"))
+    assert (len(can.atoms), len(can.vars)) == (1_027, 207)
+    core_of_formula(can, budget=20_000)
