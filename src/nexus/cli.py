@@ -156,14 +156,10 @@ def cmd_eg(args) -> int:
     kb = _load_kb(args)
     unit = _load_unit(args, kb)
     graph = build_expansion_graph(unit, kb, tuple_cap=args.cap, budget=args.budget)
-    del kb  # its summary cache need not outlive the graph into the exports
     if args.dot:
         Path(args.dot).write_text(graph.to_dot(), encoding="utf-8")
     if args.json:
-        # streamed: the same text as ``graph.to_json()``, never held whole
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(graph.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        Path(args.json).write_text(graph.to_json(), encoding="utf-8")
     lines = [f"nodes: {len(graph.nodes)}", f"arcs: {len(graph.arcs)}"]
     for i, node in enumerate(graph.nodes):
         mark = " (source)" if i == graph.source else ""

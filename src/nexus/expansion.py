@@ -21,8 +21,8 @@ the graph builder's ess(U)) first folds them (``homs._sweep``), dropping
 one-variable retractions with a root pass of the kernel per variable.
 The graph's classification compiles each can of ``U + tau`` once, as it
 stands, and checks it against its class representative too; it decides
-tuples out of term order, so it filters them as the sweeps' candidates
-are.  Only class representatives become formulas, to be cored.
+each tuple as ``ess_member`` does, with no dataset-wide filter.  Only
+class representatives become formulas, to be cored.
 """
 
 from __future__ import annotations
@@ -36,10 +36,7 @@ from typing import NamedTuple
 from .characterize import _assemble, _formula
 from .errors import InvariantViolation, MixedArity, OverlapWithUnit, TupleSpaceTooLarge
 from .formulas import Formula, canonical_rename, to_text
-from .homs import (
-    _dataset_target, _free_domains, _maps, _membership_test, _Source, _sweep, _Target,
-    core_of_formula,
-)
+from .homs import _maps, _membership_test, _Source, _sweep, _Target, core_of_formula
 from .kb import ConstTuple, SelectiveKB, Unit, validate_unit
 
 
@@ -180,8 +177,8 @@ class ExpansionGraph:
     def sorted_arcs(self) -> list[tuple[int, int]]:
         return sorted(self.arcs)
 
-    def to_json_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        return json.dumps({
             "source": self.source,
             "nodes": [
                 {
@@ -194,10 +191,7 @@ class ExpansionGraph:
                 for i, n in enumerate(self.nodes)
             ],
             "arcs": [list(a) for a in self.sorted_arcs()],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        }, indent=2, sort_keys=True) + "\n"
 
     def to_dot(self) -> str:
         def esc(s: str) -> str:
@@ -236,9 +230,7 @@ class _Closures:
 
     def infer(self, tau: ConstTuple, can: _Can, budget: int | None) -> frozenset:
         """E(tau), from known facts and pinned searches of the compiled can
-        of U + tau.  A tuple with a value that the whole dataset does not
-        allow its head variable (``homs._free_domains``) is a non-member
-        before its summary is selected, and still settles ``outside``."""
+        of U + tau, each decided as ``ess_member`` decides it."""
         if tau in self.base:
             fingerprint = self.base
         else:
@@ -256,13 +248,11 @@ class _Closures:
             # if the bound is a known class, E(tau) is it exactly when that
             # class's representative is in E(tau)
             first = self.members[upper][:1] if upper in self.members else []
-            allowed = _free_domains(can.source, _dataset_target(self.kb.dataset), can.head)
             is_member = _membership_test(can.source, can.head, self.kb, budget)
             for sigma in itertools.chain(first, sorted(upper)):
                 if sigma in inside or sigma in outside:
                     continue
-                if (allowed is not None and all(c in allowed[v] for v, c in zip(can.head, sigma))
-                        and is_member(sigma)):
+                if is_member(sigma):
                     inside.add(sigma)
                     inside.update(self.known.get(sigma, ()))
                 else:
@@ -330,11 +320,11 @@ def build_expansion_graph(
     implies E(sigma) is a subset of E(tau), so one membership settles
     many (see ``_Closures``).  Still checked: every tuple's canonical
     characterization is confirmed hom-equivalent to its class
-    representative, the first tuple of the class in space order; direct
-    instances follow from subtracting each node's arc predecessors; and
-    ``_check_invariants`` recomputes ess(U) on its own.  The unit's own
-    class, the source, is the one whose fingerprint is ess(U): a tuple of
-    the unit extends it to itself.
+    representative, the first tuple of the class in space order; a class's
+    direct instances, its tuples in no strictly smaller class, partition
+    the space; and ``_check_invariants`` recomputes ess(U) on its own.  The
+    unit's own class, the source, is the one whose fingerprint is ess(U): a
+    tuple of the unit extends it to itself.
 
     Arcs are the cover relation of strict inclusion among fingerprints,
     which is that of the hom-order on class cores (ten Cate & Dalmau, *The
@@ -386,11 +376,7 @@ def build_expansion_graph(
         and not any(fingerprints[i] < e < fingerprints[j] for e in fingerprints)
     }
 
-    direct: list[frozenset] = []
-    for j in range(k):
-        preds = {i for (i, jj) in arcs if jj == j}
-        covered = set().union(*(classes[i][0] for i in preds)) if preds else set()
-        direct.append(frozenset(classes[j][0] - covered))
+    direct = [fp.difference(*(e for e in fingerprints if e < fp)) for fp in fingerprints]
 
     source = fingerprints.index(closures.base)
 

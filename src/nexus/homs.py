@@ -56,8 +56,7 @@ Each node is cheap:
 * The source side is compiled once per formula (``_Source``): its terms
   numbered, so a search keeps its image in a list, and the variables'
   name order and atoms fixed.  Sweeps over many tuples (``instances``
-  and ``evaluate``) pay for it once, and so does a decision function
-  from ``membership_test``.  The core compiles each block once,
+  and ``evaluate``) pay for it once.  The core compiles each block once,
   from its input, and never edits it.  Every decision about a canonical
   characterization (``expansion.ess_member``, so the comparison gadgets,
   the sweeps ``expansion.ess_set`` and ``expansion.is_definable``, and
@@ -71,10 +70,10 @@ Each node is cheap:
   ``expansion.ess_set``, ``expansion.is_definable``) decides each as a
   single tuple is decided (``_membership_test``): one pinned search into
   its summary.  A single-tuple decision (``tuple_membership``,
-  ``membership_test``, ``expansion.ess_member``) runs no dataset-wide
-  filter: the root pass into its summary rejects the same tuples, and
-  the filter's cost would not be shared.  No membership indexes a
-  summary that lacks a constant of the formula.
+  ``expansion.ess_member`` and the expansion graph's classification)
+  runs no dataset-wide filter: the root pass into its summary rejects
+  the same tuples, and the filter's cost would not be shared.  No
+  membership indexes a summary that lacks a constant of the formula.
 * A sweep (``_sweep``, so ``instances``, and the sweeps of a canonical
   characterization) folds its numbered rows before compiling them
   (``_fold``): the atoms of every bound variable that one
@@ -82,8 +81,8 @@ Each node is cheap:
   root pass of the kernel with one open variable, asked of a ``_Target``
   of the rows kept so far.  What is left is hom-equivalent to the input,
   so the answers are the same, and every tuple pays for fewer variables.
-  A single test (``tuple_membership``, ``membership_test``), ``evaluate``
-  and the core search the formula as given.
+  A single test (``tuple_membership``), ``evaluate`` and the core search
+  the formula as given.
 * The core searches only the tests its retraction witness cannot answer
   (``core_of_formula``): a count per current atom of the input atoms the
   witness sends there, moved along a block's image after each drop that a
@@ -780,24 +779,11 @@ def evaluate(phi: Formula, dataset: Dataset, budget: int | None = None):
             if _run(source, target, dict(zip(head, tau)), budget) is not None}
 
 
-def membership_test(
-    phi: Formula, kb: SelectiveKB, budget: int | None = None
-) -> Callable[[ConstTuple], bool]:
-    """Compile phi once; the returned function decides, for one tuple,
-    what ``tuple_membership`` decides: one pinned hom search into its
-    summary.  A wrong-arity tuple raises ``ArityMismatch``, and a constant
-    outside the dataset raises ``TupleOutsideDomain`` when the summary is
-    selected; a tuple that gives a repeated head variable two values is
-    no instance, before either."""
-    return _membership_test(_Source.of_atoms(phi.atoms, phi.free_vars), phi.free_vars, kb,
-                            budget)
-
-
 def _membership_test(
     source: _Source, free_vars: tuple, kb: SelectiveKB, budget: int | None = None
 ) -> Callable[[ConstTuple], bool]:
-    """``membership_test`` run from a compiled source and the free terms
-    it was compiled with pinned."""
+    """The decision of ``tuple_membership``, for one tuple at a time, from
+    a compiled source and the free terms it was compiled with pinned."""
     arity = len(free_vars)
     consts = {t for t in source.template if t is not None}
 
@@ -821,8 +807,13 @@ def tuple_membership(
 ) -> bool:
     """Is tau an instance of phi: one pinned hom search into its summary.
     No dataset-wide filter runs first, so a custom selector is consulted
-    for tau even when the dataset rules it out."""
-    return membership_test(phi, kb, budget)(tau)
+    for tau even when the dataset rules it out.  A wrong-arity tuple
+    raises ``ArityMismatch``, and a constant outside the dataset raises
+    ``TupleOutsideDomain`` when the summary is selected; a tuple that
+    gives a repeated head variable two values is no instance, before
+    either."""
+    source = _Source.of_atoms(phi.atoms, phi.free_vars)
+    return _membership_test(source, phi.free_vars, kb, budget)(tau)
 
 
 def _sweep(

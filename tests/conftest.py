@@ -46,6 +46,32 @@ def kernel_runs(monkeypatch):
     return meter
 
 
+@pytest.fixture
+def kernel_searches(monkeypatch):
+    """``kernel_searches(limit)`` starts counting the searches that reach
+    the kernel's node loop, each of which makes one ``homs._Budget``, and
+    returns the count so far as a function.  A root pass that rejects
+    spends no node and is not counted.  The search past ``limit`` fails
+    the test as it starts."""
+
+    def meter(limit=None):
+        count = [0]
+
+        class Counted(homs._Budget):
+            __slots__ = ()
+
+            def __init__(self, cap):
+                count[0] += 1
+                if limit is not None and count[0] > limit:
+                    pytest.fail(f"more than {limit} kernel searches")
+                super().__init__(cap)
+
+        monkeypatch.setattr(homs, "_Budget", Counted)
+        return lambda: count[0]
+
+    return meter
+
+
 @pytest.fixture(scope="session")
 def parks_dataset():
     return parse_facts((DATA / "parks.nxf").read_text())

@@ -43,8 +43,7 @@ def classified(unit, kb):
 
 def searches(unit, kb) -> int:
     """Membership decisions run while classifying the tuples: the tuples
-    that ``_Closures.infer`` hands to its compiled decision once the
-    dataset-wide filter lets them through."""
+    that ``_Closures.infer`` hands to its compiled decision."""
     count = 0
 
     def counting(*args):

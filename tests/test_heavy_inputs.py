@@ -1,19 +1,22 @@
 """The heavy-input corpus: for each random KB known to stall a class core
 of the expansion graph, its hardest single class can, cored in about a
-second.  Each can is built as the graph builder builds it, with
-``_can_from_tuples`` and ``canonical_rename``, not through the whole
-graph, and its work is bounded by a count (kernel searches or a node
-budget), not by a timer.  A strict xfail is an input whose core is still
-past its budget; the change that makes one pass turns it into a plain
-test."""
+second, and for one known to stall a map test, the self-map of its class
+can.  Each can to be cored is built as the graph builder builds it, with
+``_can_from_tuples`` and ``canonical_rename``, and the can to be mapped
+as the test that drew it builds it, as assembled; none goes through the
+whole graph.  Work is bounded by a count (kernel searches or a node
+budget), not by a timer.  A strict xfail is an input whose search is
+still past its budget; the change that makes one pass turns it into a
+plain test."""
 
 import pytest
 
 from nexus.characterize import _can_from_tuples
 from nexus.errors import BudgetExceeded
 from nexus.formulas import canonical_rename
-from nexus.homs import core_of_formula
+from nexus.homs import core_of_formula, maps_to
 from nexus.oracles import RandomSkbConfig, random_skb
+from test_membership_reference import make_kb
 
 
 def class_can(seed, selector, unit, tau):
@@ -80,3 +83,17 @@ def test_seed_8373_class_core_within_a_small_budget():
     can = class_can(8373, "neighborhood:1", {("e1", "e3"), ("e2", "e1"), ("e4", "e3")}, ("e4", "e4"))
     assert (len(can.atoms), len(can.vars)) == (1_027, 207)
     core_of_formula(can, budget=20_000)
+
+
+@pytest.mark.xfail(raises=BudgetExceeded, strict=True,
+                   reason="heavy-tailed map search; ROADMAP item 6")
+def test_seed_967_class_can_maps_to_itself_within_a_small_budget():
+    """Seed 967 of ``make_kb`` under component, the unit {(e2,e1),(e2,e4)}
+    and the tuple (e1,e1), as ``test_fingerprint_inclusion_is_the_hom_order``
+    draws it: the can as assembled has 345 atoms over 60 variables.  The
+    identity map exists, but the search for a self-map exceeds 20,000
+    nodes, and still 1,000,000."""
+    kb = make_kb(967, "component")
+    can = _can_from_tuples(sorted({("e2", "e1"), ("e2", "e4"), ("e1", "e1")}), kb)
+    assert (len(can.atoms), len(can.vars)) == (345, 60)
+    maps_to(can, can, budget=20_000)
