@@ -322,9 +322,10 @@ def build_expansion_graph(
     characterization is confirmed hom-equivalent to its class
     representative, the first tuple of the class in space order; a class's
     direct instances, its tuples in no strictly smaller class, partition
-    the space; and ``_check_invariants`` recomputes ess(U) on its own.  The
-    unit's own class, the source, is the one whose fingerprint is ess(U): a
-    tuple of the unit extends it to itself.
+    the space; and the source's direct instances are the ess(U) swept
+    first (``_check_invariants``).  The unit's own class, the source, is
+    the one whose fingerprint is ess(U): a tuple of the unit extends it
+    to itself.
 
     Arcs are the cover relation of strict inclusion among fingerprints,
     which is that of the hom-order on class cores (ten Cate & Dalmau, *The
@@ -388,13 +389,11 @@ def build_expansion_graph(
         arcs=frozenset(arcs),
         source=source,
     )
-    _check_invariants(graph, unit, kb, space, budget)
+    _check_invariants(graph, space, closures.base)
     return graph
 
 
-def _check_invariants(
-    graph: ExpansionGraph, unit: Unit, kb: SelectiveKB, space, budget
-):
+def _check_invariants(graph: ExpansionGraph, space, ess: frozenset):
     k = len(graph.nodes)
     sorter = graphlib.TopologicalSorter()
     for i, j in graph.arcs:
@@ -417,7 +416,6 @@ def _check_invariants(
     if sources != [graph.source]:
         raise InvariantViolation("exactly one source node expected")
 
-    ess = frozenset(ess_set(unit, kb, budget))
     if graph.nodes[graph.source].direct != ess:
         raise InvariantViolation(
             "the source's direct instances must equal the essential expansion"

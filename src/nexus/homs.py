@@ -855,12 +855,10 @@ def _blocks(atoms: Iterable[Atom], free) -> list[set[Atom]]:
     """The atoms of each block: bound variables linked by sharing an atom,
     with every atom that holds them.  Free variables and constants link
     nothing, and atoms with no bound variable are in no block."""
-
-    def bound(t) -> bool:
-        return is_var(t) and t not in free
-
-    return [comp for comp in _atom_components(atoms, bound)
-            if any(bound(t) for a in comp for t in a.args)]
+    atoms = list(atoms)
+    bound = {t for a in atoms for t in a.args if is_var(t) and t not in free}
+    return _atom_components([a for a in atoms if not bound.isdisjoint(a.args)],
+                            bound.__contains__)
 
 
 def core_of_formula(phi: Formula, budget: int | None = None) -> Formula:

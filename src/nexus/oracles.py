@@ -439,24 +439,28 @@ def gen_3col_instance(
 def color_graph(
     vertices: Sequence[str], edges: Sequence[tuple[str, str]], colors: int = 3
 ):
-    """Plain backtracking graph coloring; returns a coloring or None."""
+    """Plain backtracking graph coloring; returns a coloring or None.
+    Vertices are colored in sorted order, each with the least color that
+    no colored neighbor has; a vertex out of colors takes the previous one
+    back to its next color.  Iterative, so a deep graph needs no deep
+    recursion."""
     order = sorted(dict.fromkeys(vertices))
     adj = {v: set() for v in order}
     for u, v in edges:
         adj[u].add(v)
         adj[v].add(u)
     coloring: dict[str, int] = {}
-
-    def place(i: int) -> bool:
-        if i == len(order):
-            return True
+    i, c = 0, 0  # the vertex to color, and the first color to try
+    while i < len(order):
         v = order[i]
-        for c in range(colors):
-            if all(coloring.get(w) != c for w in adj[v]):
-                coloring[v] = c
-                if place(i + 1):
-                    return True
-                del coloring[v]
-        return False
-
-    return dict(coloring) if place(0) else None
+        c = next((k for k in range(c, colors)
+                  if all(coloring.get(w) != k for w in adj[v])), None)
+        if c is not None:
+            coloring[v] = c
+            i, c = i + 1, 0
+        elif i == 0:
+            return None
+        else:
+            i -= 1
+            c = coloring.pop(order[i]) + 1
+    return coloring

@@ -2,7 +2,6 @@ import pathlib
 
 import pytest
 
-from nexus import homs
 from nexus.kb import SelectiveKB, SelectorSpec, atom, close_under_top, parse_facts, validate_unit
 from nexus.formulas import parse_formula
 
@@ -21,55 +20,6 @@ PARKS_CORES = {
     "any_ap": "x <- isa(x,ap), top(x), top(ap)",
     "anything": "x <- top(x)",
 }
-
-
-@pytest.fixture
-def kernel_runs(monkeypatch):
-    """``kernel_runs(limit)`` starts counting the calls of the kernel
-    ``homs._run`` and returns the count so far as a function.  The call
-    past ``limit`` fails the test, so work bounded by a count fails as
-    soon as it is past the bound."""
-
-    def meter(limit=None):
-        calls = [0]
-        original = homs._run
-
-        def counted(*args):
-            calls[0] += 1
-            if limit is not None and calls[0] > limit:
-                pytest.fail(f"more than {limit} kernel searches")
-            return original(*args)
-
-        monkeypatch.setattr(homs, "_run", counted)
-        return lambda: calls[0]
-
-    return meter
-
-
-@pytest.fixture
-def kernel_searches(monkeypatch):
-    """``kernel_searches(limit)`` starts counting the searches that reach
-    the kernel's node loop, each of which makes one ``homs._Budget``, and
-    returns the count so far as a function.  A root pass that rejects
-    spends no node and is not counted.  The search past ``limit`` fails
-    the test as it starts."""
-
-    def meter(limit=None):
-        count = [0]
-
-        class Counted(homs._Budget):
-            __slots__ = ()
-
-            def __init__(self, cap):
-                count[0] += 1
-                if limit is not None and count[0] > limit:
-                    pytest.fail(f"more than {limit} kernel searches")
-                super().__init__(cap)
-
-        monkeypatch.setattr(homs, "_Budget", Counted)
-        return lambda: count[0]
-
-    return meter
 
 
 @pytest.fixture(scope="session")

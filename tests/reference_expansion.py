@@ -3,8 +3,9 @@ inference, kept verbatim as a test-only reference: every tuple's class
 fingerprint is the full ``instances()`` sweep of can(U + tau), and every
 ordered pair of classes is tested for the hom-order.  The only changes:
 the ignored ``threads`` parameter is gone, and the grouping loop also
-records each class's tuples in space order, and each can is canonically
-renamed before it is cored, as ``_can_from_tuples`` once did itself.  The
+records each class's tuples in space order, each can is canonically
+renamed before it is cored, as ``_can_from_tuples`` once did itself, and
+``_check_invariants`` gets the instance set of the unit's own can.  The
 differential tests require the current builder to group the tuples
 identically and to print identical JSON and DOT.
 """
@@ -114,5 +115,6 @@ def build_expansion_graph(
         arcs=frozenset(arcs),
         source=source,
     )
-    _check_invariants(graph, unit, kb, space, budget)
+    ess = frozenset(instances(_can_from_tuples(unit.sorted_tuples(), kb), kb, budget))
+    _check_invariants(graph, space, ess)
     return graph, tuples_of

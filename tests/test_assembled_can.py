@@ -23,7 +23,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-import nexus
+import engine_hooks
 import reference_can
 from nexus.characterize import _assemble, _can_from_tuples, build_can
 from nexus.errors import BudgetExceeded, NexusError
@@ -93,20 +93,11 @@ def test_decisions_answer_as_on_the_renamed_can(seed, selector, arity, data):
 
 
 @pytest.fixture
-def rename_calls(monkeypatch):
-    """Count the renamings made through every engine module's binding of
+def rename_calls():
+    """The renamings made through every engine binding of
     ``canonical_rename``."""
-    calls = []
-
-    def counting(phi):
-        calls.append(phi)
-        return canonical_rename(phi)
-
-    for module in (nexus.characterize, nexus.homs, nexus.expansion):
-        for name, value in list(vars(module).items()):
-            if value is canonical_rename:
-                monkeypatch.setattr(module, name, counting)
-    return calls
+    with engine_hooks.calls(canonical_rename) as made:
+        yield made
 
 
 def test_decisions_rename_nothing(parks_kb, parks_unit, rename_calls):
@@ -201,16 +192,9 @@ NODES = 20_000  # a search between the cans of two arbitrary tuples can be hard
 
 def answer_and_nodes(search, *args):
     """A search's outcome within ``NODES`` nodes, and the nodes it spent."""
-    spent = []
-    spend = nexus.homs._Budget.spend
-
-    def counting(meter):
-        spent.append(None)
-        spend(meter)
-
-    with mock.patch.object(nexus.homs._Budget, "spend", counting):
+    with engine_hooks.searches() as meters:
         answer = outcome(search, *args, NODES)
-    return answer, len(spent)
+    return answer, sum(m.cap - m.left for m in meters)
 
 
 @settings(max_examples=100, deadline=None)
@@ -251,28 +235,13 @@ def test_parks_rows_compile_as_the_formula(parks_dataset, tuples, selector):
 
 
 @pytest.fixture
-def built(monkeypatch):
+def built():
     """The calls of ``_can_from_tuples`` and ``homs.equivalent`` through
     every engine binding of them, and the ``Formula``s constructed."""
-    calls = []
-    for fn in (_can_from_tuples, equivalent):
-        def counting(*args, fn=fn):
-            calls.append(fn.__name__)
-            return fn(*args)
-
-        for module in (nexus.characterize, nexus.homs, nexus.expansion):
-            for name, value in list(vars(module).items()):
-                if value is fn:
-                    monkeypatch.setattr(module, name, counting)
-    formulas = []
-    init = Formula.__init__
-
-    def counting_init(self, *args):
-        formulas.append(args)
-        init(self, *args)
-
-    monkeypatch.setattr(Formula, "__init__", counting_init)
-    return calls, formulas
+    with (engine_hooks.calls(_can_from_tuples) as cans,
+          engine_hooks.calls(equivalent) as equivalents,
+          engine_hooks.calls(Formula.__init__) as formulas):
+        yield cans, equivalents, formulas
 
 
 def test_decisions_build_no_formula(parks_kb, parks_dataset, parks_unit, built):
@@ -280,16 +249,16 @@ def test_decisions_build_no_formula(parks_kb, parks_dataset, parks_unit, built):
     ``ess_set`` compile the rows of the product walk: no call of
     ``_can_from_tuples`` through any engine binding of it, and no
     ``Formula`` at all."""
-    calls, formulas = built
+    cans, equivalents, formulas = built
     arity2 = validate_unit([("Discovery_Cove", "Florida"), ("Epcot", "Florida")], parks_dataset)
     assert ess_member(parks_unit, parks_kb, ("Epcot",))
     assert not ess_member(parks_unit, parks_kb, ("Gardaland",))
     assert ess_member(arity2, parks_kb, ("Epcot", "Florida"))
     assert compare(parks_kb, parks_unit, ("Gardaland",), ("Leolandia",)) == PREC
-    assert calls == [] and formulas == []
+    assert cans == equivalents == formulas == []
     assert is_definable(parks_unit, parks_kb)
     assert ess_set(parks_unit, parks_kb) == {("Discovery_Cove",), ("Epcot",)}
-    assert calls == [] and formulas == []
+    assert cans == equivalents == formulas == []
 
 
 @pytest.mark.parametrize("tuples, classes", [
@@ -301,10 +270,10 @@ def test_the_graph_builds_formulas_only_for_its_classes(parks_kb, parks_dataset,
     """The expansion graph classifies and checks compiled cans: four
     formulas per class (the representative, its renaming, its core and
     the core's renaming), no ``_can_from_tuples`` and no ``equivalent``."""
-    calls, formulas = built
+    cans, equivalents, formulas = built
     graph = build_expansion_graph(validate_unit(tuples, parks_dataset), parks_kb)
     assert len(graph.nodes) == classes
-    assert calls == [] and len(formulas) == 4 * classes
+    assert cans == equivalents == [] and len(formulas) == 4 * classes
 
 
 # Memberships that reach a search: the 3-col reductions of small graphs

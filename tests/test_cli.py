@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import engine_hooks
 from nexus import expansion
 from nexus.cli import run
 from nexus.expansion import build_expansion_graph
@@ -154,15 +155,15 @@ def test_eg_dot_and_json(capsys, tmp_path):
     assert js.read_text() == build_expansion_graph(unit, kb).to_json()
 
 
-def test_eg_full_selector_on_the_shipped_example(capsys, kernel_searches):
+def test_eg_full_selector_on_the_shipped_example(capsys):
     """``nexus eg`` on the shipped example under ``full``: every summary
     is the whole dataset, so each class can holds all of it and its core
     folds most of it away.  The class cores answer those tests from their
     retraction witness: 247 searches reach the kernel's node loop in all;
     testing every atom ran for over a minute.  The output is the one that
     run printed."""
-    kernel_searches(limit=260)
-    code, out, _ = invoke(capsys, "eg", FACTS, UNIT, "--selector", "full")
+    with engine_hooks.searches(limit=260):
+        code, out, _ = invoke(capsys, "eg", FACTS, UNIT, "--selector", "full")
     assert code == 0
     assert out.encode() == (ROOT / "tests" / "expected" / "eg_parks_full.txt").read_bytes()
 

@@ -7,10 +7,11 @@ print the same renamed core."""
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import engine_hooks
 import reference_homs
 from nexus.errors import BudgetExceeded
 from nexus.formulas import Formula, canonical_rename, parse_formula, to_text
-from nexus.homs import _blocks, core_of_formula
+from nexus.homs import _blocks, _run, core_of_formula
 from nexus.kb import Atom, Var
 
 HEAD = [Var("x1"), Var("x2"), Var("x3")]
@@ -78,15 +79,15 @@ def test_same_core_as_reference(phi):
     assert_same_core(phi)
 
 
-def test_witness_answers_before_the_search(kernel_runs):
+def test_witness_answers_before_the_search():
     """The first test moves the block of ?y1 onto its copy, so the
     witness no longer reaches r(?y1,?z1) and drops it with no search.  The
     tests of p(x,?y2) and r(?y2,?z2) still search, and fail: 3 searches
     where a pass without the witness makes 4, keeping the same atoms."""
     phi = parse_formula(RENAMED_COPY)
-    run_calls = kernel_runs()
-    assert to_text(canonical_rename(core_of_formula(phi))) == "x1 <- p(x1,?y1), r(?y1,?y2)"
-    assert run_calls() == 3
+    with engine_hooks.calls(_run) as runs:
+        assert to_text(canonical_rename(core_of_formula(phi))) == "x1 <- p(x1,?y1), r(?y1,?y2)"
+    assert len(runs) == 3
     assert_same_core(phi)
 
 

@@ -256,7 +256,7 @@ def test_invariant_checks_survive_optimized_mode():
         from pathlib import Path
         from nexus import expansion
         from nexus.errors import InvariantViolation
-        from nexus.expansion import _check_invariants, build_expansion_graph
+        from nexus.expansion import _check_invariants, build_expansion_graph, ess_set
         from nexus.kb import (
             SelectiveKB, SelectorSpec, atom, close_under_top, parse_facts, validate_unit,
         )
@@ -271,10 +271,11 @@ def test_invariant_checks_survive_optimized_mode():
         nodes[graph.source] = dataclasses.replace(nodes[graph.source], direct=frozenset())
         cyclic = graph.arcs | {(j, i) for i, j in graph.arcs}
         space = [(c,) for c in sorted(kb.dataset.domain)]
+        ess = frozenset(ess_set(unit, kb))
         for broken in (dataclasses.replace(graph, nodes=tuple(nodes)),
                        dataclasses.replace(graph, arcs=cyclic)):
             try:
-                _check_invariants(broken, unit, kb, space, None)
+                _check_invariants(broken, space, ess)
             except InvariantViolation as exc:
                 print("refused:", exc)
 

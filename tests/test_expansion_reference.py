@@ -10,8 +10,9 @@ import itertools
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import engine_hooks
 import reference_expansion
-from nexus import expansion
+from nexus import expansion, homs
 from nexus.characterize import _can_from_tuples
 from nexus.errors import BudgetExceeded
 from nexus.formulas import canonical_rename
@@ -26,43 +27,34 @@ from test_membership_reference import make_kb
 def classified(unit, kb):
     """The graph and each fingerprint's tuples in the order classified."""
     groups: dict = {}
-
-    def recording(unit_, kb_, tau, *rest):
-        can, fingerprint = original(unit_, kb_, tau, *rest)
-        groups.setdefault(fingerprint, []).append(tau)
-        return can, fingerprint
-
-    original = expansion._class_of_tuple
-    expansion._class_of_tuple = recording
-    try:
+    with engine_hooks.calls(expansion._class_of_tuple) as made:
         graph = expansion.build_expansion_graph(unit, kb)
-    finally:
-        expansion._class_of_tuple = original
+    for _unit, _kb, tau, closures, _budget in made:
+        groups.setdefault(closures.known[tau], []).append(tau)
     return graph, groups
 
 
 def searches(unit, kb) -> int:
     """Membership decisions run while classifying the tuples: the tuples
-    that ``_Closures.infer`` hands to its compiled decision."""
-    count = 0
+    that ``_Closures.infer`` hands to the decision it compiles, and none
+    of a sweep's."""
+    decided = []
 
-    def counting(*args):
-        is_member = original(*args)
+    def counting(membership_test):
+        def compiled(*args):
+            is_member = membership_test(*args)
+            return lambda tau: decided.append(tau) or is_member(tau)
+        return compiled
 
-        def counted(tau):
-            nonlocal count
-            count += 1
-            return is_member(tau)
-
+    def inferring(infer):
+        def counted(*args):
+            with engine_hooks.replaced(homs._membership_test, counting):
+                return infer(*args)
         return counted
 
-    original = expansion._membership_test
-    expansion._membership_test = counting
-    try:
+    with engine_hooks.replaced(expansion._Closures.infer, inferring):
         expansion.build_expansion_graph(unit, kb)
-    finally:
-        expansion._membership_test = original
-    return count
+    return len(decided)
 
 
 def assert_same_graph(unit, kb):

@@ -11,10 +11,11 @@ plain test."""
 
 import pytest
 
+import engine_hooks
 from nexus.characterize import _can_from_tuples
 from nexus.errors import BudgetExceeded
 from nexus.formulas import canonical_rename
-from nexus.homs import core_of_formula, maps_to
+from nexus.homs import _run, core_of_formula, maps_to
 from nexus.oracles import RandomSkbConfig, random_skb
 from test_membership_reference import make_kb
 
@@ -29,15 +30,15 @@ def class_can(seed, selector, unit, tau):
     return canonical_rename(_can_from_tuples(sorted(unit | {tau}), kb))
 
 
-def test_seed_10000_class_core_within_100_searches(kernel_runs):
+def test_seed_10000_class_core_within_100_searches():
     """Seed 10000 under sigma0, the unit {(e3,e4),(e4,e2),(e2,e3)} and the
     tuple (e3,e2): 2,657 atoms folding to 59.  The retraction witness
     answers most tests, so the core takes 53 searches; testing every
     atom takes 2,642 and tens of seconds."""
     can = class_can(10_000, "sigma0", {("e3", "e4"), ("e4", "e2"), ("e2", "e3")}, ("e3", "e2"))
     assert (len(can.atoms), len(can.vars)) == (2_657, 252)
-    kernel_runs(limit=100)
-    assert len(core_of_formula(can).atoms) == 59
+    with engine_hooks.calls(_run, limit=100):
+        assert len(core_of_formula(can).atoms) == 59
 
 
 @pytest.mark.xfail(raises=BudgetExceeded, strict=True,

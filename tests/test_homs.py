@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import engine_hooks
 from nexus import homs, oracles
 from nexus.characterize import build_core_char
 from nexus.errors import ArityMismatch, BudgetExceeded
@@ -132,27 +133,14 @@ def test_path_into_k3_searches_past_the_recursion_limit(shuffled):
 
 
 @pytest.fixture()
-def kernel_meter(monkeypatch):
+def kernel_meter():
     """Counts the queries a search asks of the target, ``_Target.supports``
     calls and ``_Target.project`` calls, and lists the nodes each search
     that reaches the search loop spends, in order."""
-    meters, calls = [], [0]
-
-    class Metered(homs._Budget):
-        def __init__(self, cap):
-            super().__init__(cap)
-            meters.append(self)
-
-    def counted(query):
-        def call(self, *args):
-            calls[0] += 1
-            return query(self, *args)
-        return call
-
-    monkeypatch.setattr(homs, "_Budget", Metered)
-    for name in ("supports", "project"):
-        monkeypatch.setattr(homs._Target, name, counted(getattr(homs._Target, name)))
-    return lambda: (calls[0], [m.cap - m.left for m in meters])
+    with (engine_hooks.searches() as meters,
+          engine_hooks.calls(homs._Target.supports) as supports,
+          engine_hooks.calls(homs._Target.project) as projects):
+        yield lambda: (len(supports) + len(projects), [m.cap - m.left for m in meters])
 
 
 # Forward checking skips the atoms whose variables are all assigned, and

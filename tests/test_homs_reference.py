@@ -7,16 +7,16 @@ search of the same atoms with a ≠ relation on both sides (``_kernel``),
 as ``is_isomorphic`` runs it, against the reference's injective mode."""
 
 import itertools
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nexus.errors import ArityMismatch, BudgetExceeded
 from nexus.formulas import Formula
-from nexus.homs import _Budget, _distinct, _search, _Target, equivalent, is_isomorphic, maps_to
+from nexus.homs import _distinct, _search, _Target, equivalent, is_isomorphic, maps_to
 from nexus.kb import Atom, Var
 
+import engine_hooks
 import reference_homs
 
 SOURCE_VARS = [Var(n) for n in ("a", "b", "c", "d", "e", "f")]
@@ -225,16 +225,9 @@ def dense_binary_problems(draw):
 
 def _nodes(search, *args):
     """The nodes ``search(*args)`` spends, found or not."""
-    spent = []
-    spend = _Budget.spend
-
-    def counting(meter):
-        spent.append(None)
-        spend(meter)
-
-    with mock.patch.object(_Budget, "spend", counting):
+    with engine_hooks.searches() as meters:
         search(*args)
-    return len(spent)
+    return sum(m.cap - m.left for m in meters)
 
 
 @settings(max_examples=150, deadline=None)

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import engine_hooks
 import reference_homs
 from nexus import homs
 from nexus.characterize import build_can
@@ -177,22 +178,15 @@ def test_a_selector_violation_surfaces_only_for_searched_tuples(parks_dataset):
     assert sorted(parks_dataset.domain)[0] != "Discovery_Cove"
 
 
-def test_a_sweep_checks_the_domain_only_of_searched_tuples(parks_dataset, monkeypatch):
+def test_a_sweep_checks_the_domain_only_of_searched_tuples(parks_dataset):
     """The constants ``located(x,Florida)`` rules out are never
     enumerated, so only the two Florida parks reach ``check_domain``, once
     each, when their summaries are selected."""
-    checked = []
-    check_domain = SelectiveKB.check_domain
-
-    def recording(self, tau):
-        checked.append(tuple(tau))
-        return check_domain(self, tau)
-
-    monkeypatch.setattr(SelectiveKB, "check_domain", recording)
     kb = SelectiveKB(parks_dataset, SelectorSpec.sigma0())
     phi = parse_formula("x <- located(x,Florida)")
-    assert instances(phi, kb) == {("Discovery_Cove",), ("Epcot",)}
-    assert checked == [("Discovery_Cove",), ("Epcot",)]
+    with engine_hooks.calls(SelectiveKB.check_domain) as checked:
+        assert instances(phi, kb) == {("Discovery_Cove",), ("Epcot",)}
+    assert [tuple(tau) for _kb, tau in checked] == [("Discovery_Cove",), ("Epcot",)]
 
 
 def test_the_dataset_index_is_built_once(parks_dataset):
@@ -209,30 +203,19 @@ def test_the_dataset_index_is_built_once(parks_dataset):
 
 
 @pytest.fixture()
-def free_domain_calls(monkeypatch):
+def free_domain_calls():
     """The calls of ``homs._free_domains``, the dataset-wide domains,
-    through every module attribute of the engine bound to it."""
-    calls = []
-    free_domains = homs._free_domains
-
-    def counted(*args):
-        calls.append(args)
-        return free_domains(*args)
-
-    for name, module in list(sys.modules.items()):
-        if name == "nexus" or name.startswith("nexus."):
-            for attr, value in list(vars(module).items()):
-                if value is free_domains:
-                    monkeypatch.setattr(module, attr, counted)
-    return calls
+    through every engine binding of it."""
+    with engine_hooks.calls(homs._free_domains) as made:
+        yield made
 
 
 def test_single_decisions_skip_the_sweep_filter(parks_kb, parks_unit, free_domain_calls):
     """``ess_member``, ``tuple_membership`` and the expansion graph's
     classification decide one tuple at a time, so they compute no
     dataset-wide domains; a sweep computes them once.  So the graph
-    computes them twice: for its ess(U) sweep and for the one that
-    ``_check_invariants`` runs."""
+    computes them once, for its ess(U) sweep, which ``_check_invariants``
+    also checks against."""
     assert ess_member(parks_unit, parks_kb, ("Epcot",))
     assert not ess_member(parks_unit, parks_kb, ("Gardaland",))
     phi = parse_formula("x <- located(x,Florida)")
@@ -243,7 +226,7 @@ def test_single_decisions_skip_the_sweep_filter(parks_kb, parks_unit, free_domai
     assert len(free_domain_calls) == 1
     free_domain_calls.clear()
     build_expansion_graph(parks_unit, parks_kb)
-    assert len(free_domain_calls) == 2
+    assert len(free_domain_calls) == 1
 
 
 def test_a_single_decision_consults_the_selector(parks_dataset):
@@ -326,29 +309,19 @@ def test_candidates_are_the_tuples_the_dataset_allows(seed, arity, repeat, outsi
 
 BUDGET_SCRIPT = """
 import sys
-from nexus import homs
+from engine_hooks import searches
 from nexus.errors import BudgetExceeded
 from nexus.expansion import ess_set, is_definable
 from nexus.kb import SelectiveKB, SelectorSpec, parse_facts, validate_unit
 
 dataset = parse_facts(open(sys.argv[1]).read())
 unit = validate_unit([("Discovery_Cove",), ("Leolandia",)], dataset)
-meters = []
-
-
-class Meter(homs._Budget):
-    def __init__(self, cap):
-        super().__init__(cap)
-        meters.append(self)
-
-
-homs._Budget = Meter
 for sweep in (ess_set, is_definable):
     def run(budget):
         return sweep(unit, SelectiveKB(dataset, SelectorSpec.full()), budget)
 
-    meters.clear()
-    answer = run(None)
+    with searches() as meters:
+        answer = run(None)
     most = max(meter.cap - meter.left for meter in meters)
     assert run(most) == answer
     try:
@@ -365,7 +338,7 @@ def test_a_sweep_fits_the_budget_of_its_largest_search(hash_seed):
     node count M of their largest search and raise ``BudgetExceeded`` at
     M - 1, under either hash seed."""
     root = Path(__file__).resolve().parent.parent
-    path = filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])
+    path = filter(None, [str(root / "src"), str(root / "tests"), os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(path))
     done = subprocess.run(
         [sys.executable, "-c", BUDGET_SCRIPT, str(root / "data" / "parks.nxf")],

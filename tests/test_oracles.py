@@ -220,7 +220,19 @@ def test_color_graph_basics():
         assert coloring[u] != coloring[v]
 
 
-@pytest.mark.parametrize("graph,expected", [(TRIANGLE, True), (K4, False), (C5, True)])
+def test_color_graph_needs_no_deep_recursion():
+    """A path of 3,000 vertices, three times the default recursion limit,
+    is colored; K4 still is not."""
+    path = [f"v{i:04d}" for i in range(3000)]
+    edges = list(zip(path, path[1:]))
+    coloring = color_graph(path, edges)
+    assert coloring.keys() == set(path)
+    assert set(coloring.values()) <= {0, 1, 2}
+    assert all(coloring[u] != coloring[v] for u, v in edges)
+    assert color_graph(*K4) is None
+
+
+@pytest.mark.parametrize("graph,expected",[(TRIANGLE, True), (K4, False), (C5, True)])
 @pytest.mark.parametrize("k", [1, 2])
 def test_threecol_reduction(graph, expected, k):
     vertices, edges = graph

@@ -1,15 +1,19 @@
-"""Work counts of one seed-1 pass of each benchmark workload.
+"""Work counts of one seed-1 pass of each benchmark workload, and of one
+expansion graph with a heavy-tailed kernel input.
 
     python tests/work_counts.py            # print the counts as JSON
     python tests/work_counts.py --write    # rewrite tests/work_counts.json
 
 The engine is imported from ``src/`` of the checkout that holds this
 file.  ``perfbench/workloads.py`` is loaded read-only for its inputs and
-operations; its answer checks are not run.  For the timed operations of
-one pass of each workload, the counts are:
+operations; its answer checks are not run.  ``seed27-eg`` is
+``build_expansion_graph`` over the random KB of seed 27 (5 constants,
+atom density 0.2, ``sigma0``) for the unit {(e3,e3), (e4,e2)}; its answer
+is the graph's JSON.  For the timed operations of one pass of each
+workload, and for that graph, the counts are taken by
+``tests/engine_hooks.py``, through every engine binding:
 
-* ``runs``: calls of the kernel ``homs._run``, through every module
-  attribute bound to it;
+* ``runs``: calls of the kernel ``homs._run``;
 * ``searches``: the searches that reach the kernel's node loop, each of
   which makes one ``homs._Budget``;
 * ``nodes``: the nodes those searches spend, and ``node_digest``, a
@@ -25,14 +29,12 @@ count rewrites the file and says why.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import importlib.util
 import json
 import sys
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 COUNTS = Path(__file__).resolve().parent / "work_counts.json"
@@ -42,12 +44,12 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import nexus  # noqa: E402
 import nexus.cli  # noqa: E402
-import nexus.oracles  # noqa: E402
+from engine_hooks import calls, searches  # noqa: E402
 from nexus import homs  # noqa: E402
+from nexus.expansion import build_expansion_graph  # noqa: E402
 from nexus.formulas import Formula, to_text  # noqa: E402
-from nexus.kb import SelectiveKB  # noqa: E402
-
-MODULES = ("kb", "formulas", "characterize", "homs", "expansion", "cli", "oracles")
+from nexus.kb import SelectiveKB, validate_unit  # noqa: E402
+from nexus.oracles import RandomSkbConfig, random_skb  # noqa: E402
 
 
 def _load_workloads():
@@ -76,37 +78,30 @@ def canonical(answer):
     return answer
 
 
-@contextlib.contextmanager
-def _metered():
-    """Counts while open: calls through every binding of ``homs._run``, the
-    ``homs._Budget`` of each search and calls of ``SelectiveKB.summary``."""
-    counts = {"runs": 0, "summaries": 0, "budgets": []}
-    run, summary = homs._run, SelectiveKB.summary
+def _counted(run) -> dict:
+    """The counts of ``run()``, which returns the answers."""
+    with (calls(homs._run) as runs, searches() as budgets,
+          calls(SelectiveKB.summary) as summaries):
+        answers = run()
+    nodes = [b.cap - b.left for b in budgets]
+    return {
+        "runs": len(runs),
+        "searches": len(nodes),
+        "nodes": sum(nodes),
+        "node_digest": _digest(nodes),
+        "summary_calls": len(summaries),
+        "answer_digest": _digest(answers),
+    }
 
-    def counted_run(*args, **kwargs):
-        counts["runs"] += 1
-        return run(*args, **kwargs)
 
-    def counted_summary(*args, **kwargs):
-        counts["summaries"] += 1
-        return summary(*args, **kwargs)
-
-    class Counted(homs._Budget):
-        __slots__ = ()
-
-        def __init__(self, cap):
-            super().__init__(cap)
-            counts["budgets"].append(self)
-
-    with contextlib.ExitStack() as stack:
-        for name in MODULES:
-            module = getattr(nexus, name)
-            for attr, value in list(vars(module).items()):
-                if value is run:
-                    stack.enter_context(mock.patch.object(module, attr, counted_run))
-        stack.enter_context(mock.patch.object(homs, "_Budget", Counted))
-        stack.enter_context(mock.patch.object(SelectiveKB, "summary", counted_summary))
-        yield counts
+def _pass(workload) -> list:
+    answers = []
+    for op in workload.pass_ops():
+        answer = op.call()
+        if op.collect is not None:
+            answer = op.collect(answer)
+        answers.append([op.label, canonical(answer)])
+    return answers
 
 
 def work_counts() -> dict:
@@ -116,22 +111,11 @@ def work_counts() -> dict:
         workload = cls()
         with tempfile.TemporaryDirectory() as workdir:
             workload.setup(nexus, SEED, ROOT, Path(workdir))
-            answers = []
-            with _metered() as counts:
-                for op in workload.pass_ops():
-                    answer = op.call()
-                    if op.collect is not None:
-                        answer = op.collect(answer)
-                    answers.append([op.label, canonical(answer)])
-        nodes = [b.cap - b.left for b in counts["budgets"]]
-        out[name] = {
-            "runs": counts["runs"],
-            "searches": len(nodes),
-            "nodes": sum(nodes),
-            "node_digest": _digest(nodes),
-            "summary_calls": counts["summaries"],
-            "answer_digest": _digest(answers),
-        }
+            out[name] = _counted(lambda: _pass(workload))
+    kb = random_skb(RandomSkbConfig(seed=27, max_constants=5, atom_density=0.2,
+                                    selector="sigma0"))
+    unit = validate_unit([("e3", "e3"), ("e4", "e2")], kb.dataset)
+    out["seed27-eg"] = _counted(lambda: build_expansion_graph(unit, kb).to_json())
     return out
 
 
