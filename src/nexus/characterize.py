@@ -21,7 +21,7 @@ constant to materialize the whole product.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import ArityConflict, MixedArity
 from .formulas import Formula, canonical_rename
@@ -73,20 +73,20 @@ def product_datasets(datasets: Sequence[Dataset]) -> Dataset:
 # Canonical characterization
 
 
-def _operand_index(summary: Dataset) -> tuple[dict[str, dict[tuple, list]], frozenset[str]]:
-    """The walk's index of one operand: value -> slot -> entries, one per
-    atom of the summary that holds the value at the slot's position, and
-    the binary predicates that are symmetric in the summary, each atom
+def _operand_index(
+    atoms: Iterable[Atom],
+) -> tuple[dict[str, dict[tuple, list]], frozenset[str]]:
+    """The walk's index of one operand's atoms: value -> slot -> entries,
+    one per atom that holds the value at the slot's position, and the
+    binary predicates that are symmetric in the operand, each atom
     ``p(a, b)`` with its reverse ``p(b, a)``.  A binary atom's slot is
     ``(pred, position)`` and its entry the value at the other position,
     its partner; any other atom's slot is ``(pred, position, arity)`` and
-    its entry the argument tuple.  Built once per ``Dataset`` and kept on
-    it as ``walk_index``."""
-    if summary.walk_index is not None:
-        return summary.walk_index
+    its entry the argument tuple.  Built once per ``Dataset``
+    (``Dataset.index``)."""
     index: dict[str, dict[tuple, list]] = {}
     binary: dict[str, set[tuple]] = {}
-    for a in summary.atoms:
+    for a in atoms:
         if len(a.args) == 2:
             s, o = a.args
             index.setdefault(s, {}).setdefault((a.pred, 0), []).append(o)
@@ -98,8 +98,7 @@ def _operand_index(summary: Dataset) -> tuple[dict[str, dict[tuple, list]], froz
                 index.setdefault(value, {}).setdefault(slot, []).append(a.args)
     symmetric = frozenset(pred for pred, pairs in binary.items()
                           if all((o, s) in pairs for s, o in pairs))
-    summary.walk_index = index, symmetric
-    return summary.walk_index
+    return index, symmetric
 
 
 def _reachable_product(
@@ -133,7 +132,7 @@ def _reachable_product(
     its atoms there: ``p(c, d)`` and ``p(d, c)`` for a partner d numbered
     above c, and ``p(c, c)`` once.
     """
-    indexes = [_operand_index(s) for s in summaries]
+    indexes = [s.index(_operand_index) for s in summaries]
     first, *rest = [index for index, _symmetric in indexes]
     # symmetric predicate -> the number of the constant last joined by it
     joined = dict.fromkeys(frozenset.intersection(*[sym for _index, sym in indexes]), -1)

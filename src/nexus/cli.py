@@ -66,9 +66,10 @@ def _load_kb(args) -> SelectiveKB:
     return SelectiveKB(_load_dataset(args), SelectorSpec.parse(args.selector))
 
 
-def _load_unit(args, kb: SelectiveKB):
+def _load_kb_and_unit(args):
+    kb = _load_kb(args)
     tuples = parse_unit_tuples(Path(args.unit).read_text(encoding="utf-8"))
-    return validate_unit(tuples, kb.dataset)
+    return kb, validate_unit(tuples, kb.dataset)
 
 
 def _emit(text: str, out: str | None):
@@ -118,34 +119,29 @@ def cmd_summarize(args) -> int:
 
 
 def cmd_can(args) -> int:
-    kb = _load_kb(args)
-    unit = _load_unit(args, kb)
+    kb, unit = _load_kb_and_unit(args)
     _emit_formula(build_can(unit, kb), args)
     return YES
 
 
 def cmd_core(args) -> int:
-    kb = _load_kb(args)
-    unit = _load_unit(args, kb)
+    kb, unit = _load_kb_and_unit(args)
     _emit_formula(build_core_char(unit, kb, budget=args.budget), args)
     return YES
 
 
 def cmd_def(args) -> int:
-    kb = _load_kb(args)
-    unit = _load_unit(args, kb)
+    kb, unit = _load_kb_and_unit(args)
     return _decision(is_definable(unit, kb, budget=args.budget))
 
 
 def cmd_ess(args) -> int:
-    kb = _load_kb(args)
-    unit = _load_unit(args, kb)
+    kb, unit = _load_kb_and_unit(args)
     return _decision(ess_member(unit, kb, parse_tuple(args.t), budget=args.budget))
 
 
 def _cmd_compare(args, wanted: str) -> int:
-    kb = _load_kb(args)
-    unit = _load_unit(args, kb)
+    kb, unit = _load_kb_and_unit(args)
     verdict = compare(
         kb, unit, parse_tuple(args.t), parse_tuple(args.t2), budget=args.budget
     )
@@ -153,8 +149,7 @@ def _cmd_compare(args, wanted: str) -> int:
 
 
 def cmd_eg(args) -> int:
-    kb = _load_kb(args)
-    unit = _load_unit(args, kb)
+    kb, unit = _load_kb_and_unit(args)
     graph = build_expansion_graph(unit, kb, tuple_cap=args.cap, budget=args.budget)
     if args.dot:
         Path(args.dot).write_text(graph.to_dot(), encoding="utf-8")

@@ -113,10 +113,9 @@ def gad2(
     tau2: ConstTuple,
     budget: int | None = None,
 ) -> bool:
-    """Does tau2 fall inside the essential expansion of unit + tau?  One
-    ``ess_member``: no formula is built."""
-    _check_disjoint(unit, tau, tau2)
-    return ess_member(_extended(unit, kb, tau), kb, tuple(tau2), budget)
+    """Does tau2 fall inside the essential expansion of unit + tau?
+    ``gad1`` with the two tuples swapped."""
+    return gad1(kb, unit, tau2, tau, budget)
 
 
 PREC = "prec"

@@ -399,7 +399,5 @@ def parse_formula(text: str) -> Formula:
         expect_atom = False
     if expect_atom and atoms:
         raise ParseError("trailing ',' in formula body")
-    if not atoms:
-        raise ParseError("a formula needs at least one atom")
     return Formula([Var(n) for n in head_names], atoms)
 

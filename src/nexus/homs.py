@@ -26,14 +26,14 @@ Each node is cheap:
   atom's supports come from the smallest set of its fixed positions,
   filtered by its other fixed values and by the equal positions of a
   repeated variable, a stored partner set when one end of a binary atom
-  is fixed, and a fully fixed atom is one set lookup.  The index is built per search, except
-  that the core keeps one index of its current atoms for the whole pass,
-  taking out and putting back one atom per test, a whole dataset's index
-  is built at most once per ``Dataset`` (``_dataset_target``), for
-  ``evaluate``, the candidates of a sweep below and every membership
-  whose summary is the KB's dataset itself (the ``full`` selector), and
-  the expansion graph indexes each can once (``expansion._Can``).  No
-  other summary's index is kept.
+  is fixed, and a fully fixed atom is one set lookup.  The index is
+  built per search, except that the core keeps one index of its current
+  atoms for the whole pass, taking out and putting back one atom per
+  test, a whole dataset's index is built at most once
+  (``Dataset.index(_Target)``), for the candidates of a sweep below and
+  every membership whose summary is the KB's dataset itself (the
+  ``full`` selector), and the expansion graph indexes each can once
+  (``expansion._Can``).  No other summary's index is kept.
 * After each choice, forward checking asks the target only about the
   atoms of the chosen variable that still have an open slot.  An atom
   whose variables are all assigned already holds: its last variable was
@@ -55,8 +55,8 @@ Each node is cheap:
   Depth is bounded by memory, not by the interpreter's recursion limit.
 * The source side is compiled once per formula (``_Source``): its terms
   numbered, so a search keeps its image in a list, and the variables'
-  name order and atoms fixed.  Sweeps over many tuples (``instances``
-  and ``evaluate``) pay for it once.  The core compiles each block once,
+  name order and atoms fixed.  Sweeps over many tuples (``instances``,
+  so ``evaluate``) pay for it once.  The core compiles each block once,
   from its input, and never edits it.  Every decision about a canonical
   characterization (``expansion.ess_member``, so the comparison gadgets,
   the sweeps ``expansion.ess_set`` and ``expansion.is_definable``, and
@@ -65,15 +65,16 @@ Each node is cheap:
 * A sweep enumerates only its candidates (``_candidates``): the tuples,
   in term order, whose every value is one that each atom holding its
   free variable allows in the whole dataset.  Summaries are sub-datasets,
-  so no other tuple has a homomorphism into its summary.  ``evaluate``
-  searches each candidate in the dataset; every sweep (``instances``,
-  ``expansion.ess_set``, ``expansion.is_definable``) decides each as a
-  single tuple is decided (``_membership_test``): one pinned search into
-  its summary.  A single-tuple decision (``tuple_membership``,
-  ``expansion.ess_member`` and the expansion graph's classification)
-  runs no dataset-wide filter: the root pass into its summary rejects
-  the same tuples, and the filter's cost would not be shared.  No
-  membership indexes a summary that lacks a constant of the formula.
+  so no other tuple has a homomorphism into its summary.  Every sweep
+  (``instances``, so ``evaluate``, which is ``instances`` under the
+  ``full`` selector, ``expansion.ess_set``, ``expansion.is_definable``)
+  decides each as a single tuple is decided (``_membership_test``): one
+  pinned search into its summary.  A single-tuple decision
+  (``tuple_membership``, ``expansion.ess_member`` and the expansion
+  graph's classification) runs no dataset-wide filter: the root pass
+  into its summary rejects the same tuples, and the filter's cost would
+  not be shared.  No membership indexes a summary that lacks a constant
+  of the formula.
 * A sweep (``_sweep``, so ``instances``, and the sweeps of a canonical
   characterization) folds its numbered rows before compiling them
   (``_fold``): the atoms of every bound variable that one
@@ -81,8 +82,8 @@ Each node is cheap:
   root pass of the kernel with one open variable, asked of a ``_Target``
   of the rows kept so far.  What is left is hom-equivalent to the input,
   so the answers are the same, and every tuple pays for fewer variables.
-  A single test (``tuple_membership``), ``evaluate`` and the core search
-  the formula as given.
+  A single test (``tuple_membership``), a closed formula's ``evaluate``
+  and the core search the formula as given.
 * The core searches only the tests its retraction witness cannot answer
   (``core_of_formula``): a count per current atom of the input atoms the
   witness sends there, moved along a block's image after each drop that a
@@ -103,7 +104,7 @@ from dataclasses import dataclass, field
 
 from .errors import ArityMismatch, BudgetExceeded
 from .formulas import Formula, _atom_components, canonical_rename
-from .kb import TOP, Atom, ConstTuple, Dataset, SelectiveKB, Var, is_var, term_key
+from .kb import TOP, Atom, ConstTuple, Dataset, SelectiveKB, SelectorSpec, Var, is_var, term_key
 
 DEFAULT_BUDGET = 10_000_000
 _UNSET = object()
@@ -244,14 +245,6 @@ class _Source:
     @classmethod
     def of_atoms(cls, atoms: Iterable[Atom], pinned: Iterable = ()) -> "_Source":
         return cls(*_numbered(atoms), pinned)
-
-    def image_of(self, pins: dict) -> list:
-        image = self.template.copy()
-        for k, v in pins.items():
-            s = self.slot.get(k)
-            if s is not None:
-                image[s] = v
-        return image
 
 
 def _numbered(atoms: Iterable[Atom]) -> tuple[list, list[tuple[str, tuple[int, ...]]]]:
@@ -397,28 +390,6 @@ class _Target:
         return [(s, {tt[p] for tt in best}) for s, p in at.items()]
 
 
-def _dataset_target(dataset: Dataset) -> _Target:
-    """The index of a whole dataset, built on first use and kept on the
-    dataset as ``hom_index``."""
-    if dataset.hom_index is None:
-        dataset.hom_index = _Target(dataset.atoms)
-    return dataset.hom_index
-
-
-def _free_domains(source: _Source, target: _Target, free: Iterable[Var]):
-    """For each free variable, the values that every atom holding it
-    allows in the target, with the formula's constants fixed and every
-    variable open; None when one of those atoms has no support at all.
-    ``source`` must be compiled with the free variables pinned, so every
-    atom holding one is in ``fixed_atoms``."""
-    slots = {source.slot[v] for v in free}
-    domains: list = [None] * len(source.terms)
-    held = [atom for atom in source.fixed_atoms if not slots.isdisjoint(atom[1])]
-    if not _intersect_supports(target, held, source.template, domains):
-        return None
-    return {v: domains[source.slot[v]] for v in free}
-
-
 def _intersect_supports(target: _Target, atoms: Iterable, image: list, domains: list) -> bool:
     """Narrow ``domains``, one value set per slot and None for a slot not
     yet narrowed, to the supports in ``target`` of each compiled atom
@@ -490,7 +461,11 @@ def _run(
     count * n + name rank)``, ``n`` the number of unpinned variables, so
     the last is the next choice.  A choice pops it; a narrowing, an undo
     or an exhausted choice moves one key by bisection."""
-    image = source.image_of(pins)
+    image = source.template.copy()
+    for k, v in pins.items():
+        s = source.slot.get(k)
+        if s is not None:
+            image[s] = v
 
     # root pass: every atom must have support, var domains start narrowed
     domains: list = [None] * len(image)
@@ -685,7 +660,7 @@ def _fold(terms: list, rows: list, free: Iterable) -> list:
     free variables and is hom-equivalent to the input (the map sends the
     input into it, and a subset maps back), so it has the same output over
     every dataset and the same instance set under every selector.  It also
-    allows the same values to each free variable in ``_free_domains``: a
+    allows the same values to each free variable in ``_candidates``: a
     dropped row's image holds the same free variables at the same
     positions and is at least as constrained.  This is the classical
     retraction step towards the core (Chandra & Merlin, 1977; Hell &
@@ -741,24 +716,28 @@ def _fold(terms: list, rows: list, free: Iterable) -> list:
 
 
 def _candidates(source: _Source, head: tuple, dataset: Dataset) -> Iterator[ConstTuple]:
-    """The tuples over ``head`` whose every value ``_free_domains`` allows
-    its variable over the whole dataset, in term order: nothing when some
-    atom holding a head variable has no support.  A repeated head variable
-    keeps one value.  ``source`` must be compiled with the head pinned.
+    """The tuples over ``head``, in term order, whose every value is one
+    that each atom holding its variable allows in the whole dataset, with
+    the formula's constants fixed and every other variable open: nothing
+    when one of those atoms has no support at all.  A repeated head
+    variable keeps one value.  ``source`` must be compiled with the head
+    pinned, so every atom holding a head variable is in ``fixed_atoms``.
     No other tuple has a homomorphism into the dataset, or into a summary,
     which is a sub-dataset.  A one-variable tuple ``(c,)`` is the argument
     tuple of the dataset's atom ``top(c)``, so answer sets that callers
     keep share it instead of holding a copy per answer."""
-    target = _dataset_target(dataset)
-    allowed = _free_domains(source, target, head)
-    if allowed is None:
+    target = dataset.index(_Target)
+    slots = {source.slot[v] for v in head}
+    held = [atom for atom in source.fixed_atoms if not slots.isdisjoint(atom[1])]
+    allowed: list = [None] * len(source.terms)
+    if not _intersect_supports(target, held, source.template, allowed):
         return
     if len(head) == 1:
-        for c in sorted(allowed[head[0]]):
+        for c in sorted(allowed[source.slot[head[0]]]):
             yield next(iter(target._holding((TOP, 1), 0, c)))
         return
     distinct = list(dict.fromkeys(head))
-    for combo in itertools.product(*[sorted(allowed[v]) for v in distinct]):
+    for combo in itertools.product(*[sorted(allowed[source.slot[v]]) for v in distinct]):
         by_var = dict(zip(distinct, combo))
         yield tuple([by_var[v] for v in head])
 
@@ -769,14 +748,14 @@ def evaluate(phi: Formula, dataset: Dataset, budget: int | None = None):
     Returns the set of tuples matched through the free variables, or a
     plain bool for arity-0 formulas.  A formula constant missing from
     the dataset is not an error; it simply produces an empty output.
+    An open formula's output is its instance set when every summary is
+    the dataset, so it is that sweep (``instances`` under the ``full``
+    selector), and ``budget`` caps each search of the folded rows, as in
+    every sweep.
     """
-    target = _dataset_target(dataset)
     if phi.arity == 0:
-        return _run(_Source.of_atoms(phi.atoms), target, {}, budget) is not None
-    head = phi.free_vars
-    source = _Source.of_atoms(phi.atoms, head)
-    return {tau for tau in _candidates(source, head, dataset)
-            if _run(source, target, dict(zip(head, tau)), budget) is not None}
+        return _run(_Source.of_atoms(phi.atoms), dataset.index(_Target), {}, budget) is not None
+    return instances(phi, SelectiveKB(dataset, SelectorSpec.full()), budget)
 
 
 def _membership_test(
@@ -796,7 +775,7 @@ def _membership_test(
         summary = kb.summary(tau)
         if not consts <= summary.domain:
             return False
-        target = _dataset_target(summary) if summary is kb.dataset else _Target(summary.atoms)
+        target = summary.index(_Target) if summary is kb.dataset else _Target(summary.atoms)
         return _run(source, target, pins, budget) is not None
 
     return is_instance

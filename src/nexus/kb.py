@@ -94,24 +94,10 @@ def atom(pred: str, *args) -> Atom:
     return Atom(pred, tuple(args))
 
 
-def _check_arities(atoms: Iterable[Atom]) -> dict[str, int]:
-    arities: dict[str, int] = {TOP: 1}
-    for a in atoms:
-        seen = arities.get(a.pred)
-        if seen is None:
-            arities[a.pred] = a.arity
-        elif seen != a.arity:
-            raise ArityConflict(
-                f"predicate {a.pred!r} used with arities {seen} and {a.arity}",
-                predicate=a.pred,
-            )
-    return arities
-
-
 class Dataset:
     """A finite nonempty set of ground atoms closed under ``top``."""
 
-    __slots__ = ("atoms", "domain", "omega", "_by_subject", "hom_index", "walk_index")
+    __slots__ = ("atoms", "domain", "omega", "_indexes")
 
     def __init__(self, atoms: Iterable[Atom]):
         atomset = frozenset(atoms)
@@ -120,7 +106,14 @@ class Dataset:
         for a in atomset:
             if not a.is_ground():
                 raise NotGround(f"non-ground atom {a!r} in dataset")
-        _check_arities(atomset)
+        arities: dict[str, int] = {TOP: 1}
+        for a in atomset:
+            seen = arities.setdefault(a.pred, len(a.args))
+            if seen != len(a.args):
+                raise ArityConflict(
+                    f"predicate {a.pred!r} used with arities {seen} and {len(a.args)}",
+                    predicate=a.pred,
+                )
         domain = frozenset(c for a in atomset for c in a.args)
         missing = [c for c in domain if Atom(TOP, (c,)) not in atomset]
         if missing:
@@ -130,24 +123,16 @@ class Dataset:
         self.atoms = atomset
         self.domain = domain
         self.omega = max(a.arity for a in atomset)
-        self._by_subject: dict[str, tuple[Atom, ...]] | None = None
-        # the homomorphism kernel's index of the whole dataset, built on
-        # first use by ``homs._dataset_target``
-        self.hom_index = None
-        # the product walk's index of the dataset as one operand, built on
-        # first use by ``characterize._operand_index``
-        self.walk_index = None
+        self._indexes: dict = {}  # builder -> the index ``index`` built with it
 
-    def by_subject(self) -> dict[str, tuple[Atom, ...]]:
-        """Binary atoms grouped by their first argument (``top`` is unary,
-        so none of them is a ``top`` atom)."""
-        if self._by_subject is None:
-            grouped: dict[str, list[Atom]] = {}
-            for a in self.atoms:
-                if len(a.args) == 2:
-                    grouped.setdefault(a.args[0], []).append(a)
-            self._by_subject = {c: tuple(atoms) for c, atoms in grouped.items()}
-        return self._by_subject
+    def index(self, build):
+        """``build(self.atoms)``, built on first use and kept: the indexes
+        derived from a dataset, such as the kernel's ``homs._Target``, are
+        built at most once per ``Dataset``."""
+        found = self._indexes.get(build)
+        if found is None:
+            found = self._indexes[build] = build(self.atoms)
+        return found
 
     def __contains__(self, a: Atom) -> bool:
         return a in self.atoms
@@ -174,16 +159,9 @@ def close_under_top(atoms: Iterable[Atom]) -> Dataset:
     Idempotent and monotone: the result is the input plus one ``top``
     atom per constant occurring anywhere in it.
     """
-    atomset = set(atoms)
-    if not atomset:
-        raise EmptyInput("cannot close an empty atom set")
-    for a in atomset:
-        if not a.is_ground():
-            raise NotGround(f"non-ground atom {a!r}")
-    _check_arities(atomset)
-    for c in {c for a in atomset for c in a.args}:
-        atomset.add(Atom(TOP, (c,)))
-    return Dataset(atomset)
+    atoms = set(atoms)
+    # no top atom for a variable: ``Dataset`` names the non-ground atom given
+    return Dataset(atoms | {Atom(TOP, (c,)) for a in atoms if a.is_ground() for c in a.args})
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +245,20 @@ def validate_unit(tuples: Iterable[ConstTuple], dataset: Dataset) -> Unit:
 # Summary selectors
 
 
+def _by_subject(atoms: Iterable[Atom]) -> dict[str, tuple[Atom, ...]]:
+    """Binary atoms grouped by their first argument (``top`` is unary,
+    so none of them is a ``top`` atom)."""
+    grouped: dict[str, list[Atom]] = {}
+    for a in atoms:
+        if len(a.args) == 2:
+            grouped.setdefault(a.args[0], []).append(a)
+    return {c: tuple(held) for c, held in grouped.items()}
+
+
 def _sigma0_single(dataset: Dataset, entity: str) -> set[Atom]:
     """Relevant atoms for one entity: its classes, its direct (binary)
     properties, and the direct properties of the entities those point at."""
-    by_subject = dataset.by_subject()
+    by_subject = dataset.index(_by_subject)
     a_part: set[Atom] = set()
     b_part: set[Atom] = set()
     for at in by_subject.get(entity, ()):

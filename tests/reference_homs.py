@@ -260,7 +260,7 @@ def fold_formula(phi: Formula) -> Formula:
     the subset, and a subset maps into phi.  So it has the same output
     over every dataset and the same instance set under every selector.
     It also allows the same values to each free variable in
-    ``_free_domains``: a dropped atom's image holds the same free
+    ``homs._candidates``: a dropped atom's image holds the same free
     variables at the same positions and is at least as constrained.  This
     is the classical retraction step towards the core (Chandra & Merlin,
     1977; Hell & Nesetril, 1992), limited to one variable at a time, so

@@ -1,6 +1,8 @@
 import json
 import os
 import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
@@ -319,3 +321,42 @@ def test_selftest(capsys):
     code, out, _ = invoke(capsys, "selftest", "--samples", "5", "--seed", "3")
     assert code == 0
     assert "0 failures" in out
+
+
+def _readme_block(section: str, lang: str) -> str:
+    """The first ``lang`` code block under the README heading ``section``."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    after = text[text.index(f"\n## {section}\n"):]
+    return re.search(rf"```{lang}\n(.*?)```", after, re.S).group(1)
+
+
+@pytest.fixture()
+def readme_dir(tmp_path, monkeypatch):
+    """A working directory with the shipped ``data/`` and a triangle as
+    ``graph.edgelist``, the files the README examples name."""
+    (tmp_path / "data").symlink_to(DATA)
+    (tmp_path / "graph.edgelist").write_text("u v\nu w\nv w\n")
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+def test_readme_commands_run(capsys, readme_dir):
+    """Every line of the README's command block runs and answers: a
+    decision may say no, but no command fails with an error record."""
+    lines = _readme_block("Command line", "sh").splitlines()
+    assert len(lines) == 13
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "nexus"
+        code, _out, err = invoke(capsys, *argv[1:])
+        assert code in (0, 1), (line, err)
+    assert (readme_dir / "eg.dot").exists() and (readme_dir / "tc.nxf").exists()
+
+
+def test_readme_library_snippet_runs(capsys, readme_dir):
+    """The README's library example runs and prints what its comments say."""
+    exec(_readme_block("Library", "python"), {})
+    core, verdict = capsys.readouterr().out.splitlines()
+    assert core.startswith("x1 <- isa(x1,ap), isa(x1,tp), ")
+    assert verdict == "prec"
+    assert (readme_dir / "eg.dot").read_text().startswith("digraph expansion {")

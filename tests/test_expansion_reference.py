@@ -166,7 +166,7 @@ def test_fingerprint_inclusion_is_the_hom_order(seed, selector, arity, data):
 
 
 @pytest.mark.xfail(raises=BudgetExceeded, strict=True,
-                   reason="heavy-tailed core search; needs arc consistency (AC-3/MAC)")
+                   reason="heavy-tailed core search; ROADMAP item 3")
 def test_heavy_tailed_class_core_within_a_small_budget():
     """A class can that ``test_matches_reference_on_random_skbs`` can draw:
     seed 10000 under sigma0, the unit {(e3,e4),(e4,e2),(e2,e3)} plus the

@@ -1,13 +1,13 @@
 """The heavy-input corpus: for each random KB known to stall a class core
 of the expansion graph, its hardest single class can, cored in about a
-second, and for one known to stall a map test, the self-map of its class
-can.  Each can to be cored is built as the graph builder builds it, with
-``_can_from_tuples`` and ``canonical_rename``, and the can to be mapped
-as the test that drew it builds it, as assembled; none goes through the
-whole graph.  Work is bounded by a count (kernel searches or a node
-budget), not by a timer.  A strict xfail is an input whose search is
-still past its budget; the change that makes one pass turns it into a
-plain test."""
+second, and for each known to stall a map test, the self-map of its
+class can.  Each can to be cored is built as the graph builder builds
+it, with ``_can_from_tuples`` and ``canonical_rename``, and each can to
+be mapped as the test that drew it builds it, as assembled; none goes
+through the whole graph.  Work is bounded by a count (kernel searches or
+a node budget), not by a timer.  A strict xfail is an input whose search
+is still past its budget; the change that makes one pass turns it into
+a plain test."""
 
 import pytest
 
@@ -42,7 +42,7 @@ def test_seed_10000_class_core_within_100_searches():
 
 
 @pytest.mark.xfail(raises=BudgetExceeded, strict=True,
-                   reason="heavy-tailed core search; ROADMAP items 4 and 6")
+                   reason="heavy-tailed core search; ROADMAP item 3")
 def test_seed_356_class_core_within_a_small_budget():
     """Seed 356 under neighborhood:1, the unit {(e2,e2),(e1,e3),(e1,e4)}
     and the tuple (e3,e1): 378 atoms over 126 variables.  Its fourth block
@@ -53,7 +53,7 @@ def test_seed_356_class_core_within_a_small_budget():
 
 
 @pytest.mark.xfail(raises=BudgetExceeded, strict=True,
-                   reason="heavy-tailed core search; ROADMAP items 4 and 6")
+                   reason="heavy-tailed core search; ROADMAP item 3")
 def test_seed_2727_class_core_within_a_small_budget():
     """Seed 2727 under neighborhood:1, the unit {(e3,e2),(e1,e2),(e2,e1)}
     and the tuple (e3,e3): 221 atoms over 78 variables, the one class
@@ -65,7 +65,7 @@ def test_seed_2727_class_core_within_a_small_budget():
 
 
 @pytest.mark.xfail(raises=BudgetExceeded, strict=True,
-                   reason="heavy-tailed core search; ROADMAP items 4 and 6")
+                   reason="heavy-tailed core search; ROADMAP item 3")
 def test_seed_151_class_core_within_a_small_budget():
     """Seed 151 under neighborhood:1, the unit {(e4,e4),(e2,e4),(e1,e4)}
     and the tuple (e2,e2): 287 atoms over 81 variables.  Its first block
@@ -76,7 +76,7 @@ def test_seed_151_class_core_within_a_small_budget():
 
 
 @pytest.mark.xfail(raises=BudgetExceeded, strict=True,
-                   reason="heavy-tailed core search; ROADMAP items 4 and 6")
+                   reason="heavy-tailed core search; ROADMAP item 3")
 def test_seed_8373_class_core_within_a_small_budget():
     """Seed 8373 under neighborhood:1, the unit {(e1,e3),(e2,e1),(e4,e3)}
     and the tuple (e4,e4): 1,027 atoms over 207 variables.  Its 114th
@@ -87,7 +87,7 @@ def test_seed_8373_class_core_within_a_small_budget():
 
 
 @pytest.mark.xfail(raises=BudgetExceeded, strict=True,
-                   reason="heavy-tailed map search; ROADMAP item 6")
+                   reason="heavy-tailed map search; ROADMAP item 3")
 def test_seed_967_class_can_maps_to_itself_within_a_small_budget():
     """Seed 967 of ``make_kb`` under component, the unit {(e2,e1),(e2,e4)}
     and the tuple (e1,e1), as ``test_fingerprint_inclusion_is_the_hom_order``
@@ -97,4 +97,19 @@ def test_seed_967_class_can_maps_to_itself_within_a_small_budget():
     kb = make_kb(967, "component")
     can = _can_from_tuples(sorted({("e2", "e1"), ("e2", "e4"), ("e1", "e1")}), kb)
     assert (len(can.atoms), len(can.vars)) == (345, 60)
+    maps_to(can, can, budget=20_000)
+
+
+@pytest.mark.xfail(raises=BudgetExceeded, strict=True,
+                   reason="heavy-tailed map search; ROADMAP item 3")
+def test_seed_8542_class_can_maps_to_itself_within_a_small_budget():
+    """Seed 8542 of ``make_kb`` under component, the unit {(e2,e2),(e3,e2)}
+    and the tuple (e1,e4), as ``test_fingerprint_inclusion_is_the_hom_order``
+    draws it: the can as assembled has 254 atoms over 60 variables.  (e1,e4)
+    is the first tuple of its class, so the equivalence that test checks
+    is of the can with itself.  The identity map exists, but the search
+    for a self-map exceeds 20,000 nodes, and still 1,000,000."""
+    kb = make_kb(8542, "component")
+    can = _can_from_tuples(sorted({("e2", "e2"), ("e3", "e2"), ("e1", "e4")}), kb)
+    assert (len(can.atoms), len(can.vars)) == (254, 60)
     maps_to(can, can, budget=20_000)

@@ -323,8 +323,8 @@ def _summary_under(select):
                  id="dataset-not-ground"),
     pytest.param(lambda: Dataset([atom("p", "a")]), NotClosed, "not closed",
                  id="dataset-not-closed"),
-    pytest.param(lambda: close_under_top([Atom("p", (Var("x"),))]), NotGround, "non-ground",
-                 id="close-not-ground"),
+    pytest.param(lambda: close_under_top([Atom("p", (Var("x"),))]), NotGround,
+                 r"non-ground atom p\(x\)", id="close-not-ground"),
     pytest.param(lambda: Unit([()]), EmptyUnit, "arity >= 1", id="unit-arity-0"),
     pytest.param(lambda: SelectorSpec("psychic"), ParseError, "unknown selector strategy",
                  id="selector-unknown"),

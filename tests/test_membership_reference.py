@@ -19,13 +19,13 @@ from hypothesis import given, settings, strategies as st
 import engine_hooks
 import reference_homs
 from nexus import homs
-from nexus.characterize import build_can
+from nexus.characterize import _operand_index, build_can
 from nexus.errors import ArityMismatch, NexusError, SelectorViolation, TupleOutsideDomain
-from nexus.expansion import build_expansion_graph, ess_member, is_definable
+from nexus.expansion import build_expansion_graph, ess_member, ess_set, is_definable
 from nexus.formulas import parse_formula
-from nexus.homs import evaluate, instances, tuple_membership
+from nexus.homs import _Target, evaluate, instances, tuple_membership
 from nexus.formulas import Formula
-from nexus.kb import Atom, SelectiveKB, SelectorSpec, close_under_top, is_var
+from nexus.kb import Atom, SelectiveKB, SelectorSpec, _by_subject, close_under_top, is_var
 from nexus.oracles import (
     RandomSkbConfig, brute_evaluate, brute_instances, random_formula, random_skb, random_unit,
 )
@@ -189,24 +189,32 @@ def test_a_sweep_checks_the_domain_only_of_searched_tuples(parks_dataset):
     assert [tuple(tau) for _kb, tau in checked] == [("Discovery_Cove",), ("Epcot",)]
 
 
-def test_the_dataset_index_is_built_once(parks_dataset):
-    """Every sweep over one dataset shares its index; a summary gets none."""
+def test_the_dataset_index_is_built_once(parks_dataset, parks_unit):
+    """Every sweep over one dataset shares its index; a summary gets none.
+    Each summary's walk index and the dataset's sigma0 index are built once
+    too, and reused by a later walk or selection."""
     kb = SelectiveKB(parks_dataset, SelectorSpec.sigma0())
     instances(parse_formula("x <- located(x,Florida)"), kb)
-    index = parks_dataset.hom_index
-    assert index is not None
+    index = parks_dataset._indexes[_Target]
     instances(parse_formula("x <- isa(x,ap)"), kb)
     evaluate(parse_formula("x <- isa(x,ap)"), parks_dataset)
-    assert parks_dataset.hom_index is index
-    assert all(summary.hom_index is None for summary in kb._cache.values())
-
+    assert parks_dataset._indexes[_Target] is index
+    ess_set(parks_unit, kb)
+    walks = [kb.summary(t)._indexes[_operand_index] for t in parks_unit]
+    subjects = parks_dataset._indexes[_by_subject]
+    ess_set(parks_unit, kb)
+    ess_set(parks_unit, SelectiveKB(parks_dataset, SelectorSpec.sigma0()))
+    assert all(kb.summary(t)._indexes[_operand_index] is walk
+               for t, walk in zip(parks_unit, walks))
+    assert parks_dataset._indexes[_by_subject] is subjects
+    assert all(_Target not in summary._indexes for summary in kb._cache.values())
 
 
 @pytest.fixture()
 def free_domain_calls():
-    """The calls of ``homs._free_domains``, the dataset-wide domains,
+    """The calls of ``homs._candidates``, the dataset-wide domains,
     through every engine binding of it."""
-    with engine_hooks.calls(homs._free_domains) as made:
+    with engine_hooks.calls(homs._candidates) as made:
         yield made
 
 
