@@ -36,7 +36,7 @@ from typing import NamedTuple
 from .characterize import _assemble, _formula
 from .errors import InvariantViolation, MixedArity, OverlapWithUnit, TupleSpaceTooLarge
 from .formulas import Formula, canonical_rename, to_text
-from .homs import _maps, _membership_test, _Source, _sweep, _Target, core_of_formula
+from .homs import _fold, _maps, _membership_test, _Source, _sweep, _Target, core_of_formula
 from .kb import ConstTuple, SelectiveKB, Unit, validate_unit
 
 
@@ -272,8 +272,10 @@ class _Closures:
 
 
 class _Can(NamedTuple):
-    """A can as assembled (``characterize._assemble``): its rows compiled
-    once with the head pinned, and indexed once as a search target."""
+    """A can as assembled (``characterize._assemble``): the rows ``_fold``
+    keeps compiled once with the head pinned, the source of its
+    classification and map tests, and its rows indexed once as a search
+    target."""
 
     head: list
     terms: list
@@ -287,7 +289,7 @@ class _Can(NamedTuple):
         target = _Target(())
         for pred, args in rows:
             target.add(pred, tuple([terms[t] for t in args]))
-        return cls(head, terms, rows, _Source(terms, rows, head), target)
+        return cls(head, terms, rows, _Source(terms, _fold(terms, rows, head), head), target)
 
     def maps_to(self, other: _Can, budget: int | None) -> bool:
         """``homs.maps_to`` of the cans' formulas: the same search, nodes and budget point."""

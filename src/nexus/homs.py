@@ -82,8 +82,12 @@ Each node is cheap:
   root pass of the kernel with one open variable, asked of a ``_Target``
   of the rows kept so far.  What is left is hom-equivalent to the input,
   so the answers are the same, and every tuple pays for fewer variables.
-  A single test (``tuple_membership``), a closed formula's ``evaluate``
-  and the core search the formula as given.
+  A map test (``maps_to``) and the expansion graph's compiled cans
+  (``expansion._Can``) search folded rows too: a search of a can as
+  assembled can wander far past the default budget where its folded
+  rows take a few hundred nodes.  A single test (``tuple_membership``),
+  a closed formula's ``evaluate``, ``is_isomorphic`` and the core search
+  the formula as given.
 * The core searches only the tests its retraction witness cannot answer
   (``core_of_formula``): a count per current atom of the input atoms the
   witness sends there, moved along a block's image after each drop that a
@@ -598,13 +602,17 @@ def _maps(source: _Source, target: _Target, head1, head2, budget: int | None = N
 
 
 def maps_to(phi1: Formula, phi2: Formula, budget: int | None = None) -> bool:
-    """phi1 --> phi2: a constant-preserving hom aligning free variables."""
+    """phi1 --> phi2: a constant-preserving hom aligning free variables.
+    It searches the rows of phi1 that ``_fold`` keeps, which map into
+    exactly the formulas phi1 maps into, and ``budget`` caps that search."""
     if phi1.arity != phi2.arity:
         raise ArityMismatch(
             f"hom-order needs equal arities, got {phi1.arity} and {phi2.arity}"
         )
-    return _maps(_Source.of_atoms(phi1.atoms, phi1.free_vars), _Target(phi2.atoms),
-                 phi1.free_vars, phi2.free_vars, budget)
+    head = phi1.free_vars
+    terms, rows = _numbered(phi1.atoms)
+    return _maps(_Source(terms, _fold(terms, rows, head), head), _Target(phi2.atoms),
+                 head, phi2.free_vars, budget)
 
 
 def equivalent(phi1: Formula, phi2: Formula, budget: int | None = None) -> bool:

@@ -20,7 +20,8 @@ from the code it was replaced by:
   kernel's;
 * ``maps_to`` and ``equivalent`` as they were before the one head-pinned
   map test (``homs._maps``): the heads' pins, then ``_search``, here the
-  reference kernel's.
+  reference kernel's, of the atoms ``fold_formula`` keeps, as
+  ``homs.maps_to`` searches the rows ``homs._fold`` keeps.
 """
 
 from __future__ import annotations
@@ -367,7 +368,7 @@ def maps_to(phi1: Formula, phi2: Formula, budget: int | None = None) -> bool:
     pins = _free_pins(phi1.free_vars, phi2.free_vars)
     if pins is None:
         return False
-    return _search(phi1.atoms, phi2.atoms, pins, budget) is not None
+    return _search(fold_formula(phi1).atoms, phi2.atoms, pins, budget) is not None
 
 
 def equivalent(phi1: Formula, phi2: Formula, budget: int | None = None) -> bool:

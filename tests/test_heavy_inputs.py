@@ -1,7 +1,7 @@
 """The heavy-input corpus: for each random KB known to stall a class core
 of the expansion graph, its hardest single class can, cored in about a
-second, and for each known to stall a map test, the self-map of its
-class can.  Each can to be cored is built as the graph builder builds
+second, and for each known to stall a map test, that map test of its
+class cans.  Each can to be cored is built as the graph builder builds
 it, with ``_can_from_tuples`` and ``canonical_rename``, and each can to
 be mapped as the test that drew it builds it, as assembled; none goes
 through the whole graph.  Work is bounded by a count (kernel searches or
@@ -86,30 +86,44 @@ def test_seed_8373_class_core_within_a_small_budget():
     core_of_formula(can, budget=20_000)
 
 
-@pytest.mark.xfail(raises=BudgetExceeded, strict=True,
-                   reason="heavy-tailed map search; ROADMAP item 3")
 def test_seed_967_class_can_maps_to_itself_within_a_small_budget():
     """Seed 967 of ``make_kb`` under component, the unit {(e2,e1),(e2,e4)}
     and the tuple (e1,e1), as ``test_fingerprint_inclusion_is_the_hom_order``
     draws it: the can as assembled has 345 atoms over 60 variables.  The
-    identity map exists, but the search for a self-map exceeds 20,000
-    nodes, and still 1,000,000."""
+    identity map exists, but a search of those atoms for a self-map
+    exceeds 20,000 nodes, and still 1,000,000; ``maps_to`` searches the
+    rows the fold keeps."""
     kb = make_kb(967, "component")
     can = _can_from_tuples(sorted({("e2", "e1"), ("e2", "e4"), ("e1", "e1")}), kb)
     assert (len(can.atoms), len(can.vars)) == (345, 60)
-    maps_to(can, can, budget=20_000)
+    assert maps_to(can, can, budget=20_000)
 
 
-@pytest.mark.xfail(raises=BudgetExceeded, strict=True,
-                   reason="heavy-tailed map search; ROADMAP item 3")
 def test_seed_8542_class_can_maps_to_itself_within_a_small_budget():
     """Seed 8542 of ``make_kb`` under component, the unit {(e2,e2),(e3,e2)}
     and the tuple (e1,e4), as ``test_fingerprint_inclusion_is_the_hom_order``
     draws it: the can as assembled has 254 atoms over 60 variables.  (e1,e4)
     is the first tuple of its class, so the equivalence that test checks
-    is of the can with itself.  The identity map exists, but the search
-    for a self-map exceeds 20,000 nodes, and still 1,000,000."""
+    is of the can with itself.  The identity map exists, but a search of
+    those atoms for a self-map exceeds 20,000 nodes, and still 1,000,000;
+    ``maps_to`` searches the rows the fold keeps."""
     kb = make_kb(8542, "component")
     can = _can_from_tuples(sorted({("e2", "e2"), ("e3", "e2"), ("e1", "e4")}), kb)
     assert (len(can.atoms), len(can.vars)) == (254, 60)
-    maps_to(can, can, budget=20_000)
+    assert maps_to(can, can, budget=20_000)
+
+
+def test_seed_4121_class_cans_map_within_a_small_budget():
+    """Seed 4121 of ``make_kb`` under full, the unit {(e1,e2),(e4,e1)}, as
+    ``test_fingerprint_inclusion_is_the_hom_order`` draws it: the cans of
+    the tuples (e1,e4) and (e3,e4), 191 atoms over 60 variables each as
+    assembled, map into that of (e1,e1).  A search of those atoms exceeds
+    the default 10,000,000 nodes; ``maps_to`` searches the rows the fold
+    keeps."""
+    kb = make_kb(4121, "full")
+    unit = {("e1", "e2"), ("e4", "e1")}
+    target = _can_from_tuples(sorted(unit | {("e1", "e1")}), kb)
+    for tau in (("e1", "e4"), ("e3", "e4")):
+        can = _can_from_tuples(sorted(unit | {tau}), kb)
+        assert (len(can.atoms), len(can.vars)) == (191, 60)
+        assert maps_to(can, target, budget=20_000)

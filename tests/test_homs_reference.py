@@ -13,7 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from nexus.errors import ArityMismatch, BudgetExceeded
 from nexus.formulas import Formula
-from nexus.homs import _distinct, _search, _Target, equivalent, is_isomorphic, maps_to
+from nexus.homs import (
+    _distinct, _free_pins, _search, _Target, equivalent, is_isomorphic, maps_to,
+)
 from nexus.kb import Atom, Var
 
 import engine_hooks
@@ -456,12 +458,17 @@ def _map_verdict(check, phi1, phi2, budget=None):
 @settings(max_examples=300, deadline=None)
 @given(map_pairs())
 def test_maps_to_and_equivalent_as_reference(pair):
-    """``maps_to`` asks ``homs._maps``, one ``_run`` behind the heads'
-    pins; the reference runs its own kernel's ``_search`` behind the same
-    pins.  ``maps_to`` and ``equivalent`` give the same answer, and run out
-    at the same node, at budgets None, 0-11, n - 1 and n for a search of n
-    nodes."""
+    """``maps_to`` asks ``homs._maps``, one ``_run`` of the folded rows
+    behind the heads' pins; the reference runs its own kernel's
+    ``_search`` of the atoms its own fold keeps behind the same pins.
+    ``maps_to`` and ``equivalent`` give the same answer, and run out at
+    the same node, at budgets None, 0-11, n - 1 and n for a search of n
+    nodes.  The answer is that of the reference search of phi1 as given."""
     phi1, phi2 = pair
+    if phi1.arity == phi2.arity:
+        pins = _free_pins(phi1.free_vars, phi2.free_vars)
+        found = None if pins is None else reference_homs._search(phi1.atoms, phi2.atoms, pins)
+        assert maps_to(phi1, phi2) == (found is not None)
     for check, reference in ((maps_to, reference_homs.maps_to),
                              (equivalent, reference_homs.equivalent)):
         nodes = _nodes(_map_verdict, check, phi1, phi2)
