@@ -212,8 +212,9 @@ def _assemble(
     where a budget runs out are not.
 
     Every decision of a unit's can compiles these rows: ``ess_member``
-    and the graph's classification as they stand, the sweeps folded
-    (``homs._sweep``).  ``_formula`` turns them into a formula.
+    as they stand, the sweeps (``homs._sweep``) and the graph's
+    classification (``expansion._Can``) folded.  ``_formula`` turns them
+    into a formula.
     """
     summaries = [kb.summary(t) for t in tuples]
     frees = product_tuples(tuples)

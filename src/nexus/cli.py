@@ -172,15 +172,13 @@ def cmd_gen(args) -> int:
     unit_path = Path(args.out_prefix + ".nxu")
     if args.family == "prime-cycles":
         kb, unit = gen_prime_cycles(args.mbar)
-        selector = "component"
     else:
         vertices, edges = parse_edgelist(Path(args.graph).read_text(encoding="utf-8"))
         kb, unit, query = gen_3col_instance(vertices, edges, args.k)
-        selector = "full"
     facts_path.write_text(render_facts(kb.dataset), encoding="utf-8")
     unit_path.write_text(render_unit(unit), encoding="utf-8")
     print(f"wrote {facts_path} and {unit_path}")
-    print(f"selector: {selector}")
+    print(f"selector: {kb.selector.name}")
     if args.family == "threecol":
         print("query: (" + ",".join(query) + ")")
     return YES

@@ -19,10 +19,11 @@ membership (``ess_member``, so the comparison gadgets) compiles them as
 they stand; a sweep over many tuples (``is_definable``, ``ess_set``, so
 the graph builder's ess(U)) first folds them (``homs._sweep``), dropping
 one-variable retractions with a root pass of the kernel per variable.
-The graph's classification compiles each can of ``U + tau`` once, as it
-stands, and checks it against its class representative too; it decides
-each tuple as ``ess_member`` does, with no dataset-wide filter.  Only
-class representatives become formulas, to be cored.
+The graph's classification folds and compiles each can of ``U + tau``
+once (``_Can``), and searches that source for each membership and for
+the check against its class representative; it answers each tuple as
+``ess_member`` does, with no dataset-wide filter.  Only class
+representatives become formulas, to be cored.
 """
 
 from __future__ import annotations
@@ -228,8 +229,9 @@ class _Closures:
         self.members: dict[frozenset, list[ConstTuple]] = {}  # E -> its tuples
 
     def infer(self, tau: ConstTuple, can: _Can, budget: int | None) -> frozenset:
-        """E(tau), from known facts and pinned searches of the compiled can
-        of U + tau, each decided as ``ess_member`` decides it."""
+        """E(tau), from known facts and pinned searches of the folded,
+        compiled can of U + tau: each membership gets ``ess_member``'s
+        answer, from the rows ``_fold`` keeps rather than all of them."""
         if tau in self.base:
             fingerprint = self.base
         else:

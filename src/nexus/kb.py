@@ -2,9 +2,9 @@
 
 Datasets are finite sets of ground atoms kept closed under the special
 unary predicate ``top`` (the truth of "being an entity").  A selective
-knowledge base pairs a dataset with a summary selector: a deterministic
-strategy extracting, for any tuple of constants, the sub-dataset that is
-considered relevant for it.
+knowledge base pairs a dataset with a summary selector: a name and a
+deterministic function from any tuple of constants to the sub-dataset
+that is considered relevant for it.
 """
 
 from __future__ import annotations
@@ -292,61 +292,55 @@ def _neighborhood(dataset: Dataset, tau: ConstTuple, radius: int) -> set[Atom]:
 
 
 class SelectorSpec:
-    """A summary-selection strategy.
+    """A summary selector: its ``name`` and ``select(dataset, tau)``, the
+    atoms of the dataset relevant to the tuple.
 
-    Built-in strategies: ``full`` (whole dataset), ``sigma0`` (class +
+    ``name`` is the CLI spelling, which ``parse`` reads back for the
+    built-in selectors: ``full`` (the whole dataset), ``sigma0`` (class +
     one-hop properties, lifted pointwise to n-ary tuples), and
-    ``neighborhood(r)`` (r-hop reachability; ``component`` is the
-    unbounded variant).  ``table`` pins explicit summaries for chosen
+    ``neighborhood:<r>`` (r-hop reachability; ``component`` is the
+    unbounded variant).  ``from_table`` pins explicit summaries for chosen
     tuples, every other tuple getting the whole dataset, and ``custom``
-    wraps an externally supplied callable.
+    wraps an externally supplied callable.  A ``select`` that returns
+    ``dataset.atoms`` itself selects the dataset.
     """
 
-    __slots__ = ("strategy", "radius", "table", "fn")
+    __slots__ = ("name", "select")
 
-    def __init__(
-        self,
-        strategy: str,
-        radius: int | None = None,
-        table: Mapping[ConstTuple, Dataset] | None = None,
-        fn: Callable[[Dataset, ConstTuple], Iterable[Atom]] | None = None,
-    ):
-        if strategy not in ("full", "sigma0", "neighborhood", "component", "table", "custom"):
-            raise ParseError(f"unknown selector strategy {strategy!r}")
-        if strategy == "neighborhood" and (radius is None or radius < 1):
-            raise ParseError("neighborhood selector needs a positive radius")
-        if strategy == "table" and table is None:
-            raise ParseError("table selector needs a table")
-        if strategy == "custom" and fn is None:
-            raise ParseError("custom selector needs a callable")
-        self.strategy = strategy
-        self.radius = radius
-        self.table = dict(table) if table is not None else None
-        self.fn = fn
+    def __init__(self, name: str, select: Callable[[Dataset, ConstTuple], Iterable[Atom]]):
+        if not callable(select):
+            raise ParseError(f"{name} selector needs a callable")
+        self.name = name
+        self.select = select
 
     @classmethod
     def full(cls) -> "SelectorSpec":
-        return cls("full")
+        return cls("full", lambda dataset, tau: dataset.atoms)
 
     @classmethod
     def sigma0(cls) -> "SelectorSpec":
-        return cls("sigma0")
+        return cls("sigma0", lambda dataset, tau: set().union(
+            *(_sigma0_single(dataset, c) for c in dict.fromkeys(tau))))
 
     @classmethod
     def neighborhood(cls, radius: int) -> "SelectorSpec":
-        return cls("neighborhood", radius=radius)
+        if radius < 1:
+            raise ParseError("neighborhood selector needs a positive radius")
+        return cls(f"neighborhood:{radius}",
+                   lambda dataset, tau: _neighborhood(dataset, tau, radius))
 
     @classmethod
     def component(cls) -> "SelectorSpec":
-        return cls("component")
+        return cls("component", lambda dataset, tau: _neighborhood(dataset, tau, -1))
 
     @classmethod
     def from_table(cls, table: Mapping[ConstTuple, Dataset]) -> "SelectorSpec":
-        return cls("table", table=table)
+        table = dict(table)
+        return cls("table", lambda dataset, tau: table.get(tau, dataset).atoms)
 
     @classmethod
     def custom(cls, fn: Callable[[Dataset, ConstTuple], Iterable[Atom]]) -> "SelectorSpec":
-        return cls("custom", fn=fn)
+        return cls("custom", fn)
 
     @classmethod
     def parse(cls, text: str) -> "SelectorSpec":
@@ -362,33 +356,14 @@ class SelectorSpec:
             return cls.neighborhood(int(m.group(1)))
         raise ParseError(f"unknown selector {text!r}", selector=text)
 
-    def describe(self) -> str:
-        if self.strategy == "neighborhood":
-            return f"neighborhood:{self.radius}"
-        return self.strategy
-
-    def select(self, dataset: Dataset, tau: ConstTuple) -> set[Atom]:
-        if self.strategy == "full":
-            return set(dataset.atoms)
-        if self.strategy == "sigma0":
-            picked: set[Atom] = set()
-            for c in dict.fromkeys(tau):
-                picked |= _sigma0_single(dataset, c)
-            return picked
-        if self.strategy == "neighborhood":
-            return _neighborhood(dataset, tau, self.radius)
-        if self.strategy == "component":
-            return _neighborhood(dataset, tau, -1)
-        if self.strategy == "table":
-            hit = self.table.get(tuple(tau))
-            return set(dataset.atoms if hit is None else hit.atoms)
-        return set(self.fn(dataset, tau))
-
 
 class SelectiveKB:
     """A dataset paired with a summary selector.
 
-    Immutable except for the summary cache.
+    A tuple's summary is the dataset itself, neither copied nor checked,
+    when the selector returns the dataset's atoms; any other selection is
+    checked against the selector contract.  Immutable except for the
+    summary cache.
     """
 
     __slots__ = ("dataset", "selector", "_cache")
@@ -404,18 +379,19 @@ class SelectiveKB:
         if cached is not None:
             return cached
         self.check_domain(tau)
-        if self.selector.strategy == "full":  # the dataset itself, not a checked copy
-            self._cache[tau] = self.dataset
-            return self.dataset
         picked = self.selector.select(self.dataset, tau)
-        if not picked <= self.dataset.atoms:
-            raise SelectorViolation("selector returned atoms outside the dataset")
-        try:
-            summary = Dataset(picked)
-        except NexusError as exc:
-            raise SelectorViolation(f"selector returned an invalid dataset: {exc}") from exc
-        if not set(tau) <= summary.domain:
-            raise SelectorViolation("summary must mention every constant of the tuple")
+        if picked is self.dataset.atoms:  # the dataset itself, not a checked copy
+            summary = self.dataset
+        else:
+            picked = frozenset(picked)
+            if not picked <= self.dataset.atoms:
+                raise SelectorViolation("selector returned atoms outside the dataset")
+            try:
+                summary = Dataset(picked)
+            except NexusError as exc:
+                raise SelectorViolation(f"selector returned an invalid dataset: {exc}") from exc
+            if not set(tau) <= summary.domain:
+                raise SelectorViolation("summary must mention every constant of the tuple")
         self._cache[tau] = summary
         return summary
 

@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import engine_hooks
+from nexus import homs
 from nexus.errors import (
     ArityConflict,
     EmptyInput,
@@ -31,6 +33,7 @@ from nexus.kb import (
     render_facts,
     validate_unit,
 )
+from nexus.expansion import ess_set
 from nexus.oracles import RandomSkbConfig, random_skb
 
 
@@ -238,14 +241,17 @@ def test_empty_table_falls_back(parks_dataset):
     assert kb.summary(("Epcot",)) == parks_dataset
 
 
-def test_table_selector_built_directly_falls_back(parks_dataset):
-    kb = SelectiveKB(parks_dataset, SelectorSpec("table", table={}))
-    assert kb.summary(("Epcot",)) == parks_dataset
-
-
-def test_table_selector_needs_a_table():
-    with pytest.raises(ParseError):
-        SelectorSpec("table")
+def test_unpinned_tuple_summary_is_the_dataset(parks_dataset, parks_kb):
+    """A tuple the table does not pin gets the dataset itself, not a
+    copy, so its memberships search the dataset's one index."""
+    unit = validate_unit([("Epcot",), ("Prater",)], parks_dataset)
+    kb = SelectiveKB(parks_dataset,
+                     SelectorSpec.from_table({t: parks_kb.summary(t) for t in unit.tuples}))
+    assert kb.summary(("Gardaland",)) is kb.dataset
+    with engine_hooks.calls(homs._Target.__init__) as built:
+        found = ess_set(unit, kb)
+    assert len(found) > len(unit)  # unpinned tuples were searched
+    assert sum(atoms == kb.dataset.atoms for _target, atoms in built) <= 1
 
 
 def test_neighborhood_selector(parks_dataset):
@@ -274,7 +280,7 @@ def test_custom_selector_violation(parks_dataset):
 
 def test_selector_parse_roundtrip():
     for text in ["full", "sigma0", "component", "neighborhood:3"]:
-        assert SelectorSpec.parse(text).describe() == text
+        assert SelectorSpec.parse(text).name == text
     with pytest.raises(ParseError):
         SelectorSpec.parse("psychic")
 
@@ -326,11 +332,11 @@ def _summary_under(select):
     pytest.param(lambda: close_under_top([Atom("p", (Var("x"),))]), NotGround,
                  r"non-ground atom p\(x\)", id="close-not-ground"),
     pytest.param(lambda: Unit([()]), EmptyUnit, "arity >= 1", id="unit-arity-0"),
-    pytest.param(lambda: SelectorSpec("psychic"), ParseError, "unknown selector strategy",
+    pytest.param(lambda: SelectorSpec.parse("psychic"), ParseError, "unknown selector",
                  id="selector-unknown"),
-    pytest.param(lambda: SelectorSpec("neighborhood", radius=0), ParseError,
+    pytest.param(lambda: SelectorSpec.neighborhood(0), ParseError,
                  "positive radius", id="selector-radius-0"),
-    pytest.param(lambda: SelectorSpec("custom"), ParseError, "needs a callable",
+    pytest.param(lambda: SelectorSpec.custom(None), ParseError, "needs a callable",
                  id="selector-custom-without-callable"),
     pytest.param(lambda: _summary_under(lambda ds, tau: [atom("p", "a", "b")]),
                  SelectorViolation, "invalid dataset", id="summary-without-tops"),
